@@ -49,7 +49,7 @@ use crate::adaptive::AdaptiveConfig;
 
 use super::board::ProgressBoard;
 use super::mapper::broadcast;
-use super::port::DeliveryPort;
+use super::port::FragmentPort;
 use super::queue::Delivery;
 use super::runtime::{TaskCx, WakeSet};
 use super::transport::LinkProfile;
@@ -57,7 +57,7 @@ use super::transport::LinkProfile;
 /// Everything the coordinator task reads and writes, shared by reference
 /// across the engine's pool tasks.
 pub struct CoordinatorShared<'a> {
-    pub queues: &'a [Arc<DeliveryPort>],
+    pub queues: &'a [Arc<dyn FragmentPort>],
     pub table: &'a RoutingTable,
     pub board: &'a ProgressBoard,
     pub adaptive: &'a AdaptiveConfig,

@@ -31,16 +31,16 @@
 //!
 //! * a full reducer queue — the waker is registered with that queue's
 //!   producer list under the queue's own lock
-//!   ([`BoundedQueue::try_push_or_park`]); the in-progress unit keeps its
-//!   routed buckets and the one built-but-unshipped fragment across polls,
-//!   and the accumulated stall is reported to the queue's backpressure
-//!   account when the push finally lands;
+//!   ([`Channel::try_push`](super::Channel::try_push)); the in-progress
+//!   unit keeps its routed buckets and the one built-but-unshipped
+//!   fragment across polls, and the accumulated stall is reported to the
+//!   queue's backpressure account when the push finally lands;
 //! * the `R2` gate while the build phase is still shipping — the waker
 //!   registers with [`SealState::r1_wake`], woken by the mapper that
 //!   routes the last `R1` morsel (generation read before the countdown
 //!   check, so the last decrement can never race past the registration);
 //! * an empty (but open) upstream exchange during the drain phase
-//!   ([`Exchange::try_pop_or_park`]).
+//!   ([`Channel::try_pop`](super::Channel::try_pop)).
 //!
 //! Every park also registers with the query's [`CancelToken`]: a parked
 //! task is never re-polled, so cancellation must *wake* it to be observed.
@@ -54,9 +54,10 @@ use rand::SeedableRng;
 
 use ewh_core::{ColumnBatch, Key, Rel, RouteBatch, RouteScatter, Router, RoutingTable};
 
-use super::exchange::{Exchange, TryPop};
+use super::channel::Pop;
+use super::exchange::Exchange;
 use super::morsel::{Claim, MemGauge, MorselPlan};
-use super::port::DeliveryPort;
+use super::port::FragmentPort;
 use super::queue::{Delivery, RegionBatch};
 use super::runtime::{CancelToken, Poll, TaskCx, WakeSet, Waker};
 
@@ -109,7 +110,7 @@ impl<'a> SealState<'a> {
     /// Broadcasts `SealAll` once the whole input — scan morsels and, if the
     /// probe streams, the closed exchange — has been routed. Safe to call
     /// from any task at any time; deduplicated internally.
-    pub fn maybe_seal_all(&self, queues: &[Arc<DeliveryPort>]) {
+    pub fn maybe_seal_all(&self, queues: &[Arc<dyn FragmentPort>]) {
         if self.scan_remaining.load(Ordering::Acquire) != 0 {
             return;
         }
@@ -137,7 +138,7 @@ pub struct MapperShared<'a> {
     pub router: &'a Router,
     /// Region id → owning reducer, re-read per fragment (see module docs).
     pub table: &'a RoutingTable,
-    pub queues: &'a [Arc<DeliveryPort>],
+    pub queues: &'a [Arc<dyn FragmentPort>],
     /// End-of-input tracking for both seals.
     pub seal: &'a SealState<'a>,
     pub gauge: &'a MemGauge,
@@ -223,7 +224,7 @@ impl<'a> MapperTask<'a> {
         if self.unit.is_some() {
             // One clock pair around the whole ship pass — per-fragment
             // timing costs more than the gathers it would measure. A full
-            // queue bounces `try_push_or_park` immediately, so the park
+            // queue bounces `try_push` immediately, so the park
             // stall itself never lands in this account (it is
             // backpressure, tracked by the queue).
             let start = Instant::now();
@@ -290,8 +291,8 @@ impl<'a> MapperTask<'a> {
         let Some(exchange) = sh.seal.exchange else {
             return Poll::Ready;
         };
-        match exchange.try_pop_or_park(cx.waker()) {
-            TryPop::Batch(batch) => {
+        match exchange.try_pop(Some(cx.waker())) {
+            Pop::Item(batch) => {
                 let seq = sh.seal.exchange_claims.fetch_add(1, Ordering::Relaxed);
                 // Disjoint RNG stream space from plan morsel indices.
                 self.route_unit(u64::MAX - seq, Rel::R2, batch.keys(), batch.payloads());
@@ -303,14 +304,14 @@ impl<'a> MapperTask<'a> {
                 });
                 Poll::Yielded
             }
-            TryPop::Closed => {
+            Pop::Closed => {
                 // Closed and empty. Re-check the seal: the mapper that
                 // routed the final batch may have observed the exchange
                 // still open.
                 sh.seal.maybe_seal_all(sh.queues);
                 Poll::Ready
             }
-            TryPop::Empty => {
+            Pop::Empty => {
                 // Consumer waker is registered with the exchange; a raced
                 // cancel re-polls instead of parking.
                 if sh.cancel.park(cx.waker()) {
@@ -376,14 +377,14 @@ impl<'a> MapperTask<'a> {
             // queue re-routes if its region migrated meanwhile.
             let epoch = sh.table.epoch();
             let owner = sh.table.owner_of(region) as usize;
-            match sh.queues[owner].try_push_or_park(
+            match sh.queues[owner].try_push(
                 Delivery::Batch(RegionBatch {
                     region,
                     rel: unit.rel(),
                     epoch,
                     tuples: fragment,
                 }),
-                waker,
+                Some(waker),
             ) {
                 Ok(()) => {
                     unit.next += 1;
@@ -398,7 +399,7 @@ impl<'a> MapperTask<'a> {
                     }
                     return false;
                 }
-                Err(_) => unreachable!("try_push_or_park hands back what it was given"),
+                Err(_) => unreachable!("try_push hands back what it was given"),
             }
         }
     }
@@ -475,7 +476,7 @@ impl InFlightUnit {
 
 /// Pushes one control message to every reducer queue (bypassing the bound —
 /// control must never deadlock behind a full queue).
-pub fn broadcast(queues: &[Arc<DeliveryPort>], mut make: impl FnMut() -> Delivery) {
+pub fn broadcast(queues: &[Arc<dyn FragmentPort>], mut make: impl FnMut() -> Delivery) {
     for q in queues {
         q.push_unbounded(make());
     }

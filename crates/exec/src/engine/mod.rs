@@ -47,6 +47,7 @@
 //! lives in [`crate::run_plan`].
 
 mod board;
+mod channel;
 mod coordinator;
 mod exchange;
 mod mapper;
@@ -60,13 +61,13 @@ mod spill;
 mod transport;
 
 pub use board::ProgressBoard;
+pub use channel::{Channel, Pop, Weighted};
 pub use exchange::{
-    AbandonOnDrop, CloseOnDrop, Exchange, IntermediateStats, OnlineStats, PopWait, StageSink,
-    TryPop,
+    AbandonOnDrop, CloseOnDrop, Exchange, IntermediateStats, OnlineStats, StageSink,
 };
 pub use morsel::{Claim, MemGauge, Morsel, MorselPlan, Source};
 pub use pool::BatchPool;
-pub use port::{BatchPort, DeliveryPort, FragmentPort, PortPop};
+pub use port::FragmentPort;
 pub use queue::{BoundedQueue, Delivery, MigratedRegion, RegionBatch};
 pub use reducer::{merge_sorted_runs, merge_sorted_runs_pairwise, RegionResult};
 pub use runtime::{
@@ -341,17 +342,17 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     // cooperative cancellation.
     let transport_failure = cfg.transport.as_ref().map(|_| TransportFailure::new());
     let mut remote_queues: Vec<Arc<RemoteQueue>> = Vec::new();
-    let queues: Vec<Arc<port::DeliveryPort>> = match (&cfg.transport, &transport_failure) {
+    let queues: Vec<Arc<dyn FragmentPort>> = match (&cfg.transport, &transport_failure) {
         (Some(tcfg), Some(latch)) => (0..reducers)
             .map(|_| {
                 let q = RemoteQueue::spawn(tcfg, cfg.queue_tuples, latch.clone())
                     .expect("transport link setup failed");
                 remote_queues.push(q.clone());
-                q as Arc<port::DeliveryPort>
+                q as Arc<dyn FragmentPort>
             })
             .collect(),
         _ => (0..reducers)
-            .map(|_| Arc::new(BoundedQueue::new(cfg.queue_tuples)) as Arc<port::DeliveryPort>)
+            .map(|_| Arc::new(BoundedQueue::new(cfg.queue_tuples)) as Arc<dyn FragmentPort>)
             .collect(),
     };
     let local_gauge = MemGauge::default();

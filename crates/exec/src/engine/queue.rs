@@ -1,38 +1,20 @@
-//! Bounded MPMC-safe delivery queues: the engine's stand-in for a network
-//! channel between mapper and reducer tasks.
+//! Delivery messages: what travels mapper → reducer (and reducer →
+//! reducer) on the engine's bounded queues — the engine's stand-in for a
+//! network channel.
 //!
 //! Each reducer owns one queue; mappers push per-region tuple batches into
 //! the queue of the reducer owning the target region (resolved through the
-//! shared [`ewh_core::RoutingTable`] at push time). The queue is bounded
-//! (in tuples), so a reducer that falls behind exerts *backpressure*: the
-//! pushing mapper task parks (yielding its pool worker — see
-//! [`BoundedQueue::try_push`]), and the blocked time is accounted so runs
-//! can report where the pipeline stalled. Control traffic — seals,
-//! migration handshakes, finish/abort — bypasses the bound via
-//! [`BoundedQueue::push_unbounded`], so coordination can never deadlock
-//! behind a full queue.
-//!
-//! Engine tasks run on the shared worker-pool runtime and therefore use
-//! the waker-registering [`BoundedQueue::try_push_or_park`] /
-//! [`BoundedQueue::try_pop_or_park`] pair — a task that cannot make
-//! progress registers its [`Waker`] and returns
-//! [`Poll::Pending`](super::runtime::Poll) instead of parking an OS
-//! thread or being blindly re-polled. Registration happens under the same
-//! mutex as the failed try, so a transition racing the registration can
-//! never be lost: whoever frees capacity (a pop) or delivers data (a push)
-//! drains the matching waiter list and wakes every parked task. The
-//! blocking [`BoundedQueue::push`] / [`BoundedQueue::pop`] remain for
-//! client threads and tests — their pushes and pops wake parked tasks the
-//! same way.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+//! shared [`ewh_core::RoutingTable`] at push time). The queue is a
+//! [`Channel`] bounded in tuples, so a reducer that falls behind exerts
+//! backpressure on the pushing mappers. Control traffic — seals,
+//! migration handshakes, finish/abort — weighs nothing and so bypasses the
+//! bound, and reducer → reducer forwards use
+//! [`Channel::push_unbounded`]: coordination can never deadlock behind a
+//! full queue.
 
 use ewh_core::{ColumnBatch, Rel};
 
-use super::runtime::Waker;
+use super::channel::{Channel, Weighted};
 use super::spill::SpillRun;
 
 /// One message on a reducer's queue.
@@ -110,223 +92,27 @@ impl MigratedRegion {
     }
 }
 
-/// A bounded FIFO of [`Delivery`] messages. Multiple producers (mappers),
-/// one logical consumer (the owning reducer). The bound is in *tuples*, the
-/// unit that actually occupies memory — bounding in batches would let many
-/// small-region batches pile up unchecked.
-pub struct BoundedQueue {
-    inner: Mutex<Inner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity_tuples: usize,
-    /// Nanoseconds producers spent blocked on a full queue (backpressure).
-    blocked_nanos: AtomicU64,
-}
+/// A reducer's bounded delivery queue. Multiple producers (mappers, and
+/// reducers forwarding), one logical consumer (the owning reducer).
+pub type BoundedQueue = Channel<Delivery>;
 
-struct Inner {
-    queue: VecDeque<Delivery>,
-    /// Tuples currently enqueued.
-    used: usize,
-    /// Tasks parked on an empty queue (the owning reducer); woken by any
-    /// push. Registered under this mutex, so a push can never slip between
-    /// a failed pop and the registration.
-    consumer_waiters: Vec<Waker>,
-    /// Tasks parked on a full queue (pushing mappers); woken by any pop.
-    producer_waiters: Vec<Waker>,
-}
-
-fn weight(item: &Delivery) -> usize {
-    match item {
-        // An empty batch still occupies a queue slot's worth of space.
-        Delivery::Batch(b) => b.tuples.len().max(1),
-        // Shipped migration state is real resident memory in the queue.
-        Delivery::Adopt { state, .. } => state.tuples() as usize,
-        _ => 0,
-    }
-}
-
-/// The backpressure weight of one delivery — exposed so the transport
-/// layer's credit gate charges exactly what the in-process queue would.
-pub(crate) fn delivery_weight(item: &Delivery) -> usize {
-    weight(item)
-}
-
-impl BoundedQueue {
-    pub fn new(capacity_tuples: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(Inner {
-                queue: VecDeque::new(),
-                used: 0,
-                consumer_waiters: Vec::new(),
-                producer_waiters: Vec::new(),
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity_tuples: capacity_tuples.max(1),
-            blocked_nanos: AtomicU64::new(0),
+impl Weighted for Delivery {
+    fn weight(&self) -> usize {
+        match self {
+            // An empty batch still occupies a queue slot's worth of space.
+            Delivery::Batch(b) => b.tuples.len().max(1),
+            // Shipped migration state is real resident memory in the queue.
+            Delivery::Adopt { state, .. } => state.tuples() as usize,
+            _ => 0,
         }
-    }
-
-    /// Blocking push; waits while the queue is at capacity. A batch larger
-    /// than the whole capacity is admitted once the queue is empty (it could
-    /// never fit otherwise), and zero-weight control messages bypass the
-    /// bound entirely so late coordination can never deadlock behind a full
-    /// queue.
-    pub fn push(&self, item: Delivery) {
-        let w = weight(&item);
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        if w > 0 && inner.used > 0 && inner.used + w > self.capacity_tuples {
-            let start = Instant::now();
-            while inner.used > 0 && inner.used + w > self.capacity_tuples {
-                inner = self.not_full.wait(inner).expect("queue poisoned");
-            }
-            self.blocked_nanos
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        inner.used += w;
-        inner.queue.push_back(item);
-        let waiters = std::mem::take(&mut inner.consumer_waiters);
-        drop(inner);
-        self.not_empty.notify_one();
-        for w in &waiters {
-            w.wake();
-        }
-    }
-
-    /// Non-blocking bounded push: enqueues and returns `Ok(())`, or hands
-    /// the item back when the queue is at capacity so the caller can park
-    /// itself (a pool task returns `Pending` and retries next poll). The
-    /// admission rules match [`BoundedQueue::push`]: an oversized batch is
-    /// admitted once the queue is empty, and zero-weight control messages
-    /// always pass.
-    pub fn try_push(&self, item: Delivery) -> Result<(), Delivery> {
-        self.try_push_impl(item, None)
-    }
-
-    /// [`try_push`](Self::try_push) that, on a full queue, registers
-    /// `waker` to be woken by the next pop — under the same lock as the
-    /// failed attempt, so the freeing pop can never race past
-    /// unobserved. `Err` means "parked: return `Pending`" (after also
-    /// registering with the query's cancel token).
-    pub fn try_push_or_park(&self, item: Delivery, waker: &Waker) -> Result<(), Delivery> {
-        self.try_push_impl(item, Some(waker))
-    }
-
-    fn try_push_impl(&self, item: Delivery, park: Option<&Waker>) -> Result<(), Delivery> {
-        let w = weight(&item);
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        if w > 0 && inner.used > 0 && inner.used + w > self.capacity_tuples {
-            if let Some(waker) = park {
-                waker.register_in(&mut inner.producer_waiters);
-            }
-            return Err(item);
-        }
-        inner.used += w;
-        inner.queue.push_back(item);
-        let waiters = std::mem::take(&mut inner.consumer_waiters);
-        drop(inner);
-        self.not_empty.notify_one();
-        for w in &waiters {
-            w.wake();
-        }
-        Ok(())
-    }
-
-    /// Non-blocking pop: `None` when the queue is momentarily empty (the
-    /// consuming task parks itself; termination is still driven by the
-    /// control messages described on [`BoundedQueue::pop`]).
-    pub fn try_pop(&self) -> Option<Delivery> {
-        self.try_pop_impl(None)
-    }
-
-    /// [`try_pop`](Self::try_pop) that, on an empty queue, registers
-    /// `waker` to be woken by the next push (bounded, unbounded or
-    /// blocking alike). `None` means "parked: return `Pending`".
-    pub fn try_pop_or_park(&self, waker: &Waker) -> Option<Delivery> {
-        self.try_pop_impl(Some(waker))
-    }
-
-    fn try_pop_impl(&self, park: Option<&Waker>) -> Option<Delivery> {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        let Some(item) = inner.queue.pop_front() else {
-            if let Some(waker) = park {
-                waker.register_in(&mut inner.consumer_waiters);
-            }
-            return None;
-        };
-        inner.used -= weight(&item);
-        // Freed capacity can unblock every parked producer whose batch now
-        // fits — wake them all; those still blocked re-register.
-        let waiters = std::mem::take(&mut inner.producer_waiters);
-        drop(inner);
-        self.not_full.notify_all();
-        for w in &waiters {
-            w.wake();
-        }
-        Some(item)
-    }
-
-    /// Charges producer-side blocked time observed *outside* the queue —
-    /// a mapper task that parked on a full [`try_push`](Self::try_push)
-    /// reports the stall here once it unblocks, keeping
-    /// [`blocked_secs`](Self::blocked_secs) meaningful under cooperative
-    /// scheduling.
-    pub fn note_blocked(&self, nanos: u64) {
-        self.blocked_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Non-blocking push that ignores the capacity bound (weight is still
-    /// accounted). Used for reducer → reducer traffic — forwarded fragments
-    /// and migration handshakes — where a blocking push could form a cycle
-    /// of reducers waiting on each other's full queues.
-    pub fn push_unbounded(&self, item: Delivery) {
-        let w = weight(&item);
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        inner.used += w;
-        inner.queue.push_back(item);
-        let waiters = std::mem::take(&mut inner.consumer_waiters);
-        drop(inner);
-        self.not_empty.notify_one();
-        for w in &waiters {
-            w.wake();
-        }
-    }
-
-    /// Blocking pop. Termination is driven by [`Delivery::Finish`] /
-    /// [`Delivery::SealAll`] / [`Delivery::Abort`] messages, which the
-    /// orchestration layer guarantees to deliver.
-    pub fn pop(&self) -> Delivery {
-        let mut inner = self.inner.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = inner.queue.pop_front() {
-                inner.used -= weight(&item);
-                let waiters = std::mem::take(&mut inner.producer_waiters);
-                drop(inner);
-                self.not_full.notify_all();
-                for w in &waiters {
-                    w.wake();
-                }
-                return item;
-            }
-            inner = self.not_empty.wait(inner).expect("queue poisoned");
-        }
-    }
-
-    /// Tuples currently enqueued — the queue-depth heartbeat the migration
-    /// coordinator reads when hunting for stragglers.
-    pub fn used_tuples(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").used
-    }
-
-    /// Total time producers spent blocked on this queue.
-    pub fn blocked_secs(&self) -> f64 {
-        self.blocked_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::channel::Pop;
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use std::thread;
 
@@ -358,7 +144,7 @@ mod tests {
         };
         let mut next = 0u32;
         loop {
-            match q.pop() {
+            match q.pop().expect("a delivery queue never closes") {
                 Delivery::Batch(b) => {
                     assert_eq!(b.region, next, "FIFO violated");
                     next += 1;
@@ -386,8 +172,8 @@ mod tests {
         }));
         // A second data push would block; a seal must not.
         q.push(Delivery::SealAll);
-        assert!(matches!(q.pop(), Delivery::Batch(_)));
-        assert!(matches!(q.pop(), Delivery::SealAll));
+        assert!(matches!(q.pop(), Some(Delivery::Batch(_))));
+        assert!(matches!(q.pop(), Some(Delivery::SealAll)));
     }
 
     #[test]
@@ -403,7 +189,7 @@ mod tests {
         }
         assert_eq!(q.used_tuples(), 15);
         for _ in 0..5 {
-            assert!(matches!(q.pop(), Delivery::Batch(_)));
+            assert!(matches!(q.pop(), Some(Delivery::Batch(_))));
         }
         assert_eq!(q.used_tuples(), 0);
     }
@@ -419,16 +205,16 @@ mod tests {
                 tuples: cols(n),
             })
         };
-        assert!(q.try_push(batch(3)).is_ok());
+        assert!(q.try_push(batch(3), None).is_ok());
         // 3 + 3 > 4 with a non-empty queue: bounced, item handed back.
-        let bounced = q.try_push(batch(3));
+        let bounced = q.try_push(batch(3), None);
         assert!(matches!(bounced, Err(Delivery::Batch(ref b)) if b.tuples.len() == 3));
         // Control always passes; empty queue admits oversized batches.
-        assert!(q.try_push(Delivery::SealR1).is_ok());
-        assert!(q.try_pop().is_some());
-        assert!(q.try_pop().is_some());
-        assert!(q.try_pop().is_none());
-        assert!(q.try_push(batch(99)).is_ok(), "oversized on empty");
+        assert!(q.try_push(Delivery::SealR1, None).is_ok());
+        assert!(matches!(q.try_pop(None), Pop::Item(_)));
+        assert!(matches!(q.try_pop(None), Pop::Item(_)));
+        assert!(matches!(q.try_pop(None), Pop::Empty));
+        assert!(q.try_push(batch(99), None).is_ok(), "oversized on empty");
         q.note_blocked(5_000_000);
         assert!(q.blocked_secs() >= 0.005);
     }
@@ -449,7 +235,7 @@ mod tests {
         // Fill the queue so the producer task must park, then have a
         // consumer task drain everything; both sides finish only if the
         // cross wakes (pop→producer, push→consumer) actually fire.
-        assert!(q.try_push(batch(2)).is_ok());
+        assert!(q.try_push(batch(2), None).is_ok());
         let pushed = std::sync::atomic::AtomicUsize::new(0);
         let popped = std::sync::atomic::AtomicUsize::new(0);
         rt.scope(|s| {
@@ -458,7 +244,7 @@ mod tests {
                 let mut left = 3usize;
                 s.spawn(move |cx| {
                     while left > 0 {
-                        match q.try_push_or_park(batch(2), cx.waker()) {
+                        match q.try_push(batch(2), Some(cx.waker())) {
                             Ok(()) => {
                                 left -= 1;
                                 pushed.fetch_add(1, Ordering::Relaxed);
@@ -470,15 +256,15 @@ mod tests {
                 });
             }
             let (q, popped) = (&q, &popped);
-            s.spawn(move |cx| match q.try_pop_or_park(cx.waker()) {
-                Some(_) => {
+            s.spawn(move |cx| match q.try_pop(Some(cx.waker())) {
+                Pop::Item(_) => {
                     if popped.fetch_add(1, Ordering::Relaxed) + 1 == 4 {
                         Poll::Ready
                     } else {
                         Poll::Yielded
                     }
                 }
-                None => Poll::Pending,
+                Pop::Empty | Pop::Closed => Poll::Pending,
             });
         });
         assert_eq!(pushed.into_inner(), 3);
@@ -499,7 +285,7 @@ mod tests {
             }),
         });
         assert_eq!(q.used_tuples(), 9);
-        assert!(matches!(q.pop(), Delivery::Adopt { .. }));
+        assert!(matches!(q.pop(), Some(Delivery::Adopt { .. })));
         assert_eq!(q.used_tuples(), 0);
     }
 }

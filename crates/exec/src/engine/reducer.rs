@@ -17,7 +17,7 @@
 //! the stage ships output downstream ([`StageSink`]), swept batches go
 //! through an *outbox*: a sweep's output is staged locally and pushed to
 //! the inter-operator exchange with non-blocking
-//! [`Exchange::try_push_or_park`](super::Exchange::try_push_or_park) — a
+//! [`Channel::try_push`](super::Channel::try_push) — a
 //! blocking push would suspend a pool worker the downstream consumer may
 //! need, which on a shared pool is a deadlock, not just a stall. While the
 //! outbox is non-empty the reducer processes no further deliveries, so
@@ -68,7 +68,7 @@ use super::board::ProgressBoard;
 use super::exchange::StageSink;
 use super::morsel::MemGauge;
 use super::pool::BatchPool;
-use super::port::{DeliveryPort, PortPop};
+use super::port::FragmentPort;
 use super::queue::{Delivery, MigratedRegion, RegionBatch};
 use super::runtime::{CancelToken, TaskCx, WakeSet, Waker};
 use super::spill::{SpillContext, SpillRun};
@@ -144,7 +144,7 @@ pub enum ReducerStep {
 
 /// State shared (by reference) between all reducer tasks of one run.
 pub struct ReducerShared<'a> {
-    pub queues: &'a [Arc<DeliveryPort>],
+    pub queues: &'a [Arc<dyn FragmentPort>],
     pub table: &'a RoutingTable,
     pub board: &'a ProgressBoard,
     pub gauge: &'a MemGauge,
@@ -268,13 +268,8 @@ impl<'a> ReducerTask<'a> {
             if processed >= DELIVERIES_PER_POLL {
                 break ReducerStep::Working;
             }
-            let delivery = match queue.try_pop_or_park(cx.waker()) {
-                PortPop::Item(d) => d,
-                PortPop::Empty => break self.park(queue.as_ref(), processed),
-                // A remote link that died mid-stream closes its port; the
-                // transport has already cancelled the query, so tear down
-                // exactly like an in-band abort.
-                PortPop::Closed => Delivery::Abort,
+            let Some(delivery) = queue.try_pop(Some(cx.waker())) else {
+                break self.park(queue.as_ref(), processed);
             };
             self.unpark();
             processed += 1;
@@ -313,7 +308,7 @@ impl<'a> ReducerTask<'a> {
     /// Parks the task: publish the idle heartbeat (the migration
     /// coordinator treats an idle reducer as a migration target) and start
     /// the idle clock.
-    fn park(&mut self, queue: &DeliveryPort, processed: usize) -> ReducerStep {
+    fn park(&mut self, queue: &dyn FragmentPort, processed: usize) -> ReducerStep {
         self.sh.board.set_idle(
             self.me,
             queue.used_tuples() == 0 && self.outbox.is_empty() && self.spilled_outbox.is_empty(),
@@ -362,7 +357,7 @@ impl<'a> ReducerTask<'a> {
         };
         loop {
             while let Some(batch) = self.outbox.pop_front() {
-                match sink.exchange.try_push_or_park(batch, waker) {
+                match sink.exchange.try_push(batch, Some(waker)) {
                     Ok(()) => {}
                     Err(batch) => {
                         self.outbox.push_front(batch);

@@ -10,17 +10,16 @@
 //! ## Credit-based flow control
 //!
 //! A [`BoundedQueue`] bounds *resident tuples*; a byte stream has no shared
-//! counter to bound against. The `CreditGate` reproduces the queue's
-//! admission rule on the producer side: every sent delivery charges its
-//! tuple weight against the window, and the consumer returns that weight as
-//! a `CREDIT` frame on a dedicated back-channel once the delivery is popped.
-//! `outstanding` therefore counts tuples in flight end to end — in the
-//! writer's buffer, on the wire, and in the consumer-side staging queue —
-//! so [`FragmentPort::used_tuples`] keeps feeding the migration
-//! coordinator's backlog heuristics unchanged. The admission rule is
-//! bit-for-bit the queue's (`w > 0 && outstanding > 0 && outstanding + w >
-//! capacity` bounces; an oversized delivery is admitted alone), so swapping
-//! a local queue for a remote one cannot introduce a new deadlock.
+//! counter to bound against. The `CreditGate` bounds the producer side
+//! instead: every sent delivery charges its tuple weight against the
+//! window, and the consumer returns that weight as a `CREDIT` frame on a
+//! dedicated back-channel once the delivery is popped. `outstanding`
+//! therefore counts tuples in flight end to end — in the writer's buffer,
+//! on the wire, and in the consumer-side staging queue — so
+//! [`FragmentPort::used_tuples`] keeps feeding the migration coordinator's
+//! backlog heuristics unchanged. The gate admits by the very function the
+//! local channel calls ([`admits`]), so swapping a local queue for a remote
+//! one cannot introduce a new deadlock.
 //!
 //! ## Ordering and failure
 //!
@@ -38,15 +37,16 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ewh_core::{encode_frame, ColumnBatch, Frame, FrameDecoder, Key, Rel, TUPLE_BYTES};
 
+use super::channel::{admits, BlockedTime, Pop, Weighted};
 use super::exchange::Exchange;
-use super::port::{FragmentPort, PortPop};
-use super::queue::{delivery_weight, BoundedQueue, Delivery, MigratedRegion, RegionBatch};
+use super::port::FragmentPort;
+use super::queue::{BoundedQueue, Delivery, MigratedRegion, RegionBatch};
 use super::runtime::{WakeSet, Waker};
 use super::spill::SpillRun;
 
@@ -318,14 +318,14 @@ struct GateInner {
     failed: bool,
 }
 
-/// Producer-side tuple window mirroring [`BoundedQueue`]'s admission rule.
+/// Producer-side tuple window admitting by the local channel's rule.
 /// `outstanding` is charged on send and returned by `CREDIT` frames, so it
 /// counts tuples in flight end to end.
 pub(crate) struct CreditGate {
     capacity: usize,
     inner: Mutex<GateInner>,
     freed: Condvar,
-    blocked_nanos: AtomicU64,
+    blocked: BlockedTime,
 }
 
 impl CreditGate {
@@ -338,21 +338,24 @@ impl CreditGate {
                 failed: false,
             }),
             freed: Condvar::new(),
-            blocked_nanos: AtomicU64::new(0),
+            blocked: BlockedTime::default(),
         })
     }
 
-    /// The queue's admission rule verbatim: bounce only when the window is
-    /// non-empty and `w` would overrun it (an oversized delivery is
-    /// admitted alone). A failed gate admits everything — the caller
-    /// discards. A bounced call with a waker registers it under the gate
-    /// lock, so the freeing credit can never race past unobserved.
+    fn lock(&self) -> MutexGuard<'_, GateInner> {
+        self.inner.lock().expect("credit gate poisoned")
+    }
+
+    /// Charges `w` if [`admits`] lets it through. A failed gate admits
+    /// everything — the caller discards. A bounced call with a waker
+    /// registers it under the gate lock, so the freeing credit can never
+    /// race past unobserved.
     fn try_acquire(&self, w: usize, waker: Option<&Waker>) -> bool {
-        let mut g = self.inner.lock().expect("credit gate poisoned");
+        let mut g = self.lock();
         if g.failed {
             return true;
         }
-        if w > 0 && g.outstanding > 0 && g.outstanding + w > self.capacity {
+        if !admits(g.outstanding, w, self.capacity) {
             if let Some(waker) = waker {
                 waker.register_in(&mut g.waiters);
             }
@@ -362,18 +365,13 @@ impl CreditGate {
         true
     }
 
-    /// Blocking acquire for client threads outside the pool. Returns
-    /// `false` when the gate failed while (or before) waiting.
+    /// Blocking acquire for client threads outside the pool, charging the
+    /// wait (if any) to the gate's blocked time. Returns `false` when the
+    /// gate failed while (or before) waiting.
     fn acquire_blocking(&self, w: usize) -> bool {
-        let mut g = self.inner.lock().expect("credit gate poisoned");
-        let start = Instant::now();
-        while !g.failed && w > 0 && g.outstanding > 0 && g.outstanding + w > self.capacity {
-            g = self.freed.wait(g).expect("credit gate poisoned");
-        }
-        if start.elapsed() > Duration::ZERO {
-            self.blocked_nanos
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+        let mut g = self.blocked.wait_while(&self.freed, self.lock(), |g| {
+            !g.failed && !admits(g.outstanding, w, self.capacity)
+        });
         if g.failed {
             return false;
         }
@@ -384,33 +382,29 @@ impl CreditGate {
     /// Unbounded admission: weight accounted, bound bypassed (control
     /// traffic and reducer→reducer forwarding must never deadlock).
     fn acquire_unbounded(&self, w: usize) {
-        let mut g = self.inner.lock().expect("credit gate poisoned");
+        let mut g = self.lock();
         if !g.failed {
             g.outstanding += w;
         }
     }
 
     /// Returns `w` tuples of window and wakes every parked producer (the
-    /// queue wakes all producers per pop for the same reason: a big freed
+    /// channel wakes all producers per pop for the same reason: a big freed
     /// weight may admit several small waiters).
     fn credit(&self, w: usize) {
-        let waiters = {
-            let mut g = self.inner.lock().expect("credit gate poisoned");
-            g.outstanding = g.outstanding.saturating_sub(w);
-            std::mem::take(&mut g.waiters)
-        };
-        self.freed.notify_all();
-        for waker in waiters {
-            waker.wake();
-        }
+        self.release(|g| g.outstanding = g.outstanding.saturating_sub(w));
     }
 
     /// Poisons the gate: every parked producer wakes and every subsequent
     /// acquire is admitted (and discarded by the caller).
     fn fail(&self) {
+        self.release(|g| g.failed = true);
+    }
+
+    fn release(&self, change: impl FnOnce(&mut GateInner)) {
         let waiters = {
-            let mut g = self.inner.lock().expect("credit gate poisoned");
-            g.failed = true;
+            let mut g = self.lock();
+            change(&mut g);
             std::mem::take(&mut g.waiters)
         };
         self.freed.notify_all();
@@ -420,11 +414,7 @@ impl CreditGate {
     }
 
     fn outstanding(&self) -> usize {
-        self.inner.lock().expect("credit gate poisoned").outstanding
-    }
-
-    fn blocked_nanos(&self) -> u64 {
-        self.blocked_nanos.load(Ordering::Relaxed)
+        self.lock().outstanding
     }
 }
 
@@ -705,7 +695,6 @@ pub struct RemoteQueue {
     credit_tx: Mutex<Option<mpsc::Sender<u64>>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     wire_bytes: Arc<AtomicU64>,
-    note_nanos: AtomicU64,
 }
 
 impl RemoteQueue {
@@ -906,7 +895,6 @@ impl RemoteQueue {
             credit_tx: Mutex::new(Some(credit_tx)),
             threads: Mutex::new(threads),
             wire_bytes,
-            note_nanos: AtomicU64::new(0),
         }))
     }
 
@@ -930,7 +918,7 @@ impl RemoteQueue {
     }
 
     fn credit_for(&self, item: &Delivery) {
-        let w = delivery_weight(item);
+        let w = item.weight();
         if w > 0 {
             if let Some(tx) = self.credit_tx.lock().expect("credit tx poisoned").as_ref() {
                 let _ = tx.send(w as u64);
@@ -953,32 +941,11 @@ impl Drop for RemoteQueue {
 }
 
 impl FragmentPort for RemoteQueue {
-    type Item = Delivery;
-
-    fn push(&self, item: Delivery) {
-        let w = delivery_weight(&item);
-        if self.gate.acquire_blocking(w) {
-            self.send(item);
-        }
-    }
-
-    fn try_push(&self, item: Delivery) -> Result<(), Delivery> {
+    fn try_push(&self, item: Delivery, waker: Option<&Waker>) -> Result<(), Delivery> {
         if self.failure.failed() {
             return Ok(()); // discarded: the run is unwinding
         }
-        if self.gate.try_acquire(delivery_weight(&item), None) {
-            self.send(item);
-            Ok(())
-        } else {
-            Err(item)
-        }
-    }
-
-    fn try_push_or_park(&self, item: Delivery, waker: &Waker) -> Result<(), Delivery> {
-        if self.failure.failed() {
-            return Ok(());
-        }
-        if self.gate.try_acquire(delivery_weight(&item), Some(waker)) {
+        if self.gate.try_acquire(item.weight(), waker) {
             self.send(item);
             Ok(())
         } else {
@@ -987,36 +954,16 @@ impl FragmentPort for RemoteQueue {
     }
 
     fn push_unbounded(&self, item: Delivery) {
-        self.gate.acquire_unbounded(delivery_weight(&item));
+        self.gate.acquire_unbounded(item.weight());
         self.send(item);
     }
 
-    fn try_pop(&self) -> PortPop<Delivery> {
-        match BoundedQueue::try_pop(&self.staging) {
-            Some(item) => {
-                self.credit_for(&item);
-                PortPop::Item(item)
-            }
-            None => PortPop::Empty,
-        }
-    }
-
-    fn try_pop_or_park(&self, waker: &Waker) -> PortPop<Delivery> {
-        match BoundedQueue::try_pop_or_park(&self.staging, waker) {
-            Some(item) => {
-                self.credit_for(&item);
-                PortPop::Item(item)
-            }
-            None => PortPop::Empty,
-        }
-    }
-
-    /// No-op: lifecycle is in-band, as on the local queue.
-    fn close(&self) {}
-
-    /// Consumer teardown: producers must never block again.
-    fn abandon(&self) {
-        self.gate.fail();
+    fn try_pop(&self, waker: Option<&Waker>) -> Option<Delivery> {
+        let Pop::Item(item) = self.staging.try_pop(waker) else {
+            return None;
+        };
+        self.credit_for(&item);
+        Some(item)
     }
 
     /// Window charged but not yet credited back: tuples in the writer's
@@ -1028,11 +975,11 @@ impl FragmentPort for RemoteQueue {
     }
 
     fn note_blocked(&self, nanos: u64) {
-        self.note_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.gate.blocked.note(nanos);
     }
 
     fn blocked_secs(&self) -> f64 {
-        (self.note_nanos.load(Ordering::Relaxed) + self.gate.blocked_nanos()) as f64 * 1e-9
+        self.gate.blocked.secs()
     }
 }
 
@@ -1406,15 +1353,55 @@ mod tests {
 
     #[test]
     fn the_credit_gate_mirrors_the_queue_admission_rule() {
+        // (used, w, capacity, admitted): weight 0 is a control message.
+        let cases = [
+            (0, 0, 4, true),
+            (0, 9, 4, true),  // oversized, admitted alone
+            (3, 1, 4, true),  // exact fit
+            (3, 2, 4, false), // overrun of a non-empty window
+            (8, 2, 10, true),
+            (8, 3, 10, false),
+            (4, 1, 4, false),
+            (5, 0, 4, true), // control passes an over-full window
+        ];
+        let load = |n: usize| match n {
+            0 => Delivery::SealR1,
+            n => batch_delivery(0, n),
+        };
+        for (used, w, cap, admitted) in cases {
+            let q = BoundedQueue::new(cap);
+            if used > 0 {
+                q.push_unbounded(load(used));
+            }
+            assert_eq!(
+                q.try_push(load(w), None).is_ok(),
+                admitted,
+                "channel: used {used}, w {w}, capacity {cap}"
+            );
+            let gate = CreditGate::new(cap);
+            gate.acquire_unbounded(used);
+            assert_eq!(
+                gate.try_acquire(w, None),
+                admitted,
+                "gate: used {used}, w {w}, capacity {cap}"
+            );
+        }
         let gate = CreditGate::new(10);
-        assert!(gate.try_acquire(8, None));
-        assert!(!gate.try_acquire(3, None), "8 + 3 > 10 bounces");
-        assert!(gate.try_acquire(2, None), "8 + 2 == 10 admitted");
-        gate.credit(10);
-        assert!(gate.try_acquire(100, None), "oversized admitted alone");
-        assert_eq!(gate.outstanding(), 100);
+        assert!(gate.try_acquire(10, None));
         gate.fail();
         assert!(gate.try_acquire(100, None), "failed gate admits everything");
+    }
+
+    #[test]
+    fn uncontended_blocking_pushes_charge_no_backpressure() {
+        let q = BoundedQueue::new(64);
+        let gate = CreditGate::new(64);
+        for region in 0..4 {
+            q.push(batch_delivery(region, 8));
+            assert!(gate.acquire_blocking(8));
+        }
+        assert_eq!(q.blocked_secs(), 0.0);
+        assert_eq!(gate.blocked.secs(), 0.0);
     }
 
     fn round_trip_over(kind: TransportKind) {
@@ -1429,16 +1416,13 @@ mod tests {
             failure.clone(),
         )
         .expect("link");
-        let port: &super::super::port::DeliveryPort = &*q;
+        let port: &dyn FragmentPort = &*q;
         for region in 0..32u32 {
-            assert!(port.try_push(batch_delivery(region, 100)).is_ok());
+            assert!(port.try_push(batch_delivery(region, 100), None).is_ok());
         }
         port.push_unbounded(Delivery::SealAll);
         for region in 0..32u32 {
-            let d = drain_until(Duration::from_secs(10), || match port.try_pop() {
-                PortPop::Item(d) => Some(d),
-                _ => None,
-            });
+            let d = drain_until(Duration::from_secs(10), || port.try_pop(None));
             let Delivery::Batch(rb) = d else {
                 panic!("expected a batch")
             };
@@ -1447,10 +1431,7 @@ mod tests {
             assert_eq!(rb.tuples.keys(), cols(100).keys());
             assert_eq!(rb.tuples.payloads(), cols(100).payloads());
         }
-        let d = drain_until(Duration::from_secs(10), || match port.try_pop() {
-            PortPop::Item(d) => Some(d),
-            _ => None,
-        });
+        let d = drain_until(Duration::from_secs(10), || port.try_pop(None));
         assert!(matches!(d, Delivery::SealAll));
         // Credits drain the window back to zero.
         drain_until(Duration::from_secs(10), || {
@@ -1474,17 +1455,16 @@ mod tests {
     fn the_window_bounces_like_a_full_queue() {
         let failure = TransportFailure::new();
         let q = RemoteQueue::spawn(&TransportConfig::loopback(), 100, failure).expect("link");
-        let port: &super::super::port::DeliveryPort = &*q;
-        assert!(port.try_push(batch_delivery(0, 80)).is_ok());
-        let bounced = port.try_push(batch_delivery(1, 50));
+        let port: &dyn FragmentPort = &*q;
+        assert!(port.try_push(batch_delivery(0, 80), None).is_ok());
+        let bounced = port.try_push(batch_delivery(1, 50), None);
         assert!(bounced.is_err(), "window overrun hands the delivery back");
         // Popping the staged batch returns credit and re-admits.
-        drain_until(Duration::from_secs(10), || match port.try_pop() {
-            PortPop::Item(d) => Some(d),
-            _ => None,
-        });
+        drain_until(Duration::from_secs(10), || port.try_pop(None));
         drain_until(Duration::from_secs(10), || {
-            port.try_push(batch_delivery(1, 50)).is_ok().then_some(())
+            port.try_push(batch_delivery(1, 50), None)
+                .is_ok()
+                .then_some(())
         });
     }
 
@@ -1501,12 +1481,9 @@ mod tests {
             failure.clone(),
         )
         .expect("link");
-        let port: &super::super::port::DeliveryPort = &*q;
-        assert!(port.try_push(batch_delivery(0, 64)).is_ok());
-        let d = drain_until(Duration::from_secs(10), || match port.try_pop() {
-            PortPop::Item(d) => Some(d),
-            _ => None,
-        });
+        let port: &dyn FragmentPort = &*q;
+        assert!(port.try_push(batch_delivery(0, 64), None).is_ok());
+        let d = drain_until(Duration::from_secs(10), || port.try_pop(None));
         assert!(
             matches!(d, Delivery::Abort),
             "corruption surfaces as an in-band abort, got {d:?}"
@@ -1514,8 +1491,8 @@ mod tests {
         assert!(failure.failed());
         assert!(failure.reason().is_some());
         // Producers are never blocked again; pushes discard quietly.
-        assert!(port.try_push(batch_delivery(1, 1 << 19)).is_ok());
-        assert!(port.try_push(batch_delivery(2, 1 << 19)).is_ok());
+        assert!(port.try_push(batch_delivery(1, 1 << 19), None).is_ok());
+        assert!(port.try_push(batch_delivery(2, 1 << 19), None).is_ok());
     }
 
     #[test]

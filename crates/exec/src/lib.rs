@@ -60,7 +60,7 @@ pub use adaptive::{simulate as simulate_adaptive, AdaptiveConfig, AdaptiveOutcom
 pub use engine::{
     merge_sorted_runs, merge_sorted_runs_pairwise, BatchPool, EngineConfig, EngineIo,
     EngineOutcome, EngineRuntime, Exchange, FragmentPort, LinkProfile, MemGauge, Morsel,
-    MorselPlan, OnlineStats, PortPop, ProgressBoard, QueryTicket, RemoteExchangeReceiver,
+    MorselPlan, OnlineStats, Pop, ProgressBoard, QueryTicket, RemoteExchangeReceiver,
     RemoteExchangeSender, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillConfig,
     SpillContext, SpillRun, StageSink, Straggler, TransportConfig, TransportFailure, TransportKind,
 };
