@@ -115,6 +115,14 @@ fn forced_migration() -> AdaptiveConfig {
     }
 }
 
+/// Engine tasks for a run that must be able to migrate: at least 4, so
+/// there are at least 2 reducers (2 tasks give one reducer and nowhere to
+/// move a region). Tasks are not threads — the pool stays `rc.threads`
+/// workers wide.
+fn migration_tasks(rc: &RunConfig) -> usize {
+    rc.threads.max(4)
+}
+
 fn wire_config(wire: &str, throttle: Option<u64>) -> Option<TransportConfig> {
     let base = match wire {
         "none" => return None,
@@ -174,7 +182,12 @@ fn run_worker(rc: &RunConfig, e: &Extra) {
     let exchange = ewh_exec::Exchange::new(e.window);
     let gauge = ewh_exec::MemGauge::default();
 
-    let mut engine_cfg = EngineConfig::for_tasks(rc.threads, cfg.morsel_tuples, rc.seed ^ 0x5F);
+    let tasks = if e.migrate {
+        migration_tasks(rc)
+    } else {
+        rc.threads
+    };
+    let mut engine_cfg = EngineConfig::for_tasks(tasks, cfg.morsel_tuples, rc.seed ^ 0x5F);
     engine_cfg.queue_tuples = cfg.queue_tuples;
     engine_cfg.work = ewh_exec::OutputWork::Touch;
     engine_cfg.reducers = engine_cfg.reducers.min(n_regions.max(1));
@@ -459,6 +472,7 @@ fn link_gate(rc: &RunConfig) -> Vec<GateRun> {
         nanos_per_tuple: 20_000,
     });
     let rt = rc.runtime();
+    let tasks = migration_tasks(rc);
     let mut runs = Vec::new();
     for (label, bandwidth, rtt) in [("fast", 1e9, 1e-4), ("thin", 1e3, 5e-2)] {
         let cfg = OperatorConfig {
@@ -477,8 +491,9 @@ fn link_gate(rc: &RunConfig) -> Vec<GateRun> {
                     bandwidth_bytes_per_sec: bandwidth,
                     rtt_secs: rtt,
                 };
-                rc.threads
+                tasks
             ]),
+            threads: tasks,
             ..rc.operator_config(&w)
         };
         let run = run_operator(&rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, &cfg);

@@ -257,7 +257,7 @@ impl<T: Weighted> Channel<T> {
 
     /// Blocking pop: the next item, or `None` once the channel is closed
     /// and drained. A delivery channel never closes — its consumer stops
-    /// at the in-band `Finish` / `SealAll` / `Abort` message the
+    /// at the in-band `Finish` / `Abort` message the
     /// orchestration layer guarantees to deliver.
     pub fn pop(&self) -> Option<T> {
         let mut state = self

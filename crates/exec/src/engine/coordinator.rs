@@ -18,26 +18,29 @@
 //!    completed, which keeps the latency accounting exact and gives the
 //!    pipeline time to react before the next decision.
 //!
-//! 2. **Quiescence-driven termination.** With migrations in play, `SealAll`
-//!    no longer means "no more data can reach you": migrated state and
-//!    fenced-off fragments travel reducer → reducer after the mappers exit.
-//!    The coordinator therefore broadcasts [`Delivery::Finish`] only when
-//!    the mappers have finished, every routed tuple has been absorbed into
-//!    some region's state (`in_flight == 0`), and no migration handshake is
-//!    pending — at which point no queue can ever receive data again.
+//! 2. **Quiescence-driven termination** — of every pipelined run,
+//!    migration or not. Migrated state and fenced-off fragments travel
+//!    reducer → reducer after the mappers exit, so the end of the input is
+//!    not the end of the run. The coordinator broadcasts
+//!    [`Delivery::Finish`] only when the mappers have finished, every
+//!    routed tuple has been absorbed into some region's state
+//!    (`in_flight == 0`), and no migration handshake is pending — at which
+//!    point no queue can ever receive data again. `Finish` is the only
+//!    clean end of a reducer.
 //!
 //! Like the mappers and reducers, the coordinator is a task on the shared
-//! worker-pool runtime — and it is the engine's one *legitimately timed*
-//! wait. Between polls it parks with two wake sources armed: a timer
-//! ([`TaskCx::sleep`]) for the next cadence tick, and the shared
+//! worker-pool runtime. It parks on the shared
 //! [`quiesce`](CoordinatorShared::quiesce) wake-set, bumped by reducers on
 //! the events its termination check watches (the in-flight count crossing
 //! zero after the mappers finish, an adoption completing) and by the
 //! orchestrator on abort/mapper-completion — so termination is detected
-//! the moment it happens rather than a poll interval later. The
-//! generation of the wake-set is read *before* any condition atomics; a
-//! registration that straddles an event is refused and the task re-polls
-//! immediately ([`CoordinatorStep::Busy`]).
+//! the moment it happens. While a migration can still start, it also arms
+//! a timer ([`TaskCx::sleep`]) for the next straggler scan — the engine's
+//! one *legitimately timed* wait. A run that cannot migrate (reassignment
+//! off, a zero budget, or a single reducer) never arms it. The generation
+//! of the wake-set is read *before* any condition atomics; a registration
+//! that straddles an event is refused and the task re-polls immediately
+//! ([`CoordinatorStep::Busy`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -79,7 +82,7 @@ pub struct CoordinatorShared<'a> {
     pub in_flight: &'a AtomicU64,
     /// Completed adoptions (incremented by the adopting reducer).
     pub adoptions: &'a AtomicU64,
-    /// Wake-set the coordinator parks on between timed polls; woken by
+    /// Wake-set the coordinator parks on between polls; woken by
     /// reducers (quiescence events, adoptions) and the orchestrator
     /// (abort, mappers done).
     pub quiesce: &'a WakeSet,
@@ -99,7 +102,7 @@ pub struct MigrationTally {
 /// What one [`CoordinatorTask::poll`] reports to the orchestration layer.
 pub enum CoordinatorStep {
     /// Between polls; the waker is registered with the quiescence wake-set
-    /// and a cadence timer is armed — park.
+    /// (and a cadence timer is armed while migrations are possible) — park.
     Idle,
     /// A quiescence event raced the park registration; re-poll soon
     /// (yield, don't park).
@@ -129,6 +132,9 @@ const PERSIST_POLLS: u32 = 10;
 pub struct CoordinatorTask<'a> {
     sh: &'a CoordinatorShared<'a>,
     tally: MigrationTally,
+    /// Handshakes this run may start: `max_migrations` with reassignment on
+    /// and a second reducer to move to, else zero.
+    budget: u64,
     /// Handshakes started (compared against completed adoptions).
     started: u64,
     /// One-shot flags: each region migrates at most once per run.
@@ -142,16 +148,15 @@ pub struct CoordinatorTask<'a> {
 
 impl<'a> CoordinatorTask<'a> {
     pub fn new(sh: &'a CoordinatorShared<'a>) -> Self {
-        // The orchestrator only spawns a coordinator under the coordinated
-        // protocol; with `reassign` off, reducers terminate on `SealAll` and
-        // no one would consume a `Finish`.
-        debug_assert!(
-            sh.adaptive.reassign,
-            "coordinator spawned with reassign off"
-        );
+        let migrates = sh.adaptive.reassign && sh.queues.len() >= 2;
         CoordinatorTask {
             sh,
             tally: MigrationTally::default(),
+            budget: if migrates {
+                sh.adaptive.max_migrations as u64
+            } else {
+                0
+            },
             started: 0,
             migrated: vec![false; sh.table.n_regions()],
             pending_since: None,
@@ -161,9 +166,12 @@ impl<'a> CoordinatorTask<'a> {
         }
     }
 
-    /// One coordinator iteration, rate-limited to the configured poll
-    /// cadence. An `Idle` step leaves the task's waker registered with the
-    /// quiescence wake-set *and* armed on a cadence timer.
+    /// One coordinator iteration: account a completed handshake, finish at
+    /// quiescence, and — while the migration budget lasts, rate-limited to
+    /// the configured poll cadence — look for a straggler to relieve. An
+    /// `Idle` step leaves the task's waker registered with the quiescence
+    /// wake-set and, while migrations remain possible, armed on a cadence
+    /// timer.
     pub fn poll(&mut self, cx: &TaskCx<'_>) -> CoordinatorStep {
         let sh = self.sh;
         // Generation before any condition read: an event (abort, adoption,
@@ -173,32 +181,34 @@ impl<'a> CoordinatorTask<'a> {
         if sh.abort.load(Ordering::Acquire) {
             return CoordinatorStep::Done(self.tally);
         }
-        if let Some(last) = self.last_poll {
-            let since = last.elapsed();
-            if since < self.poll_interval {
-                return self.park_until(cx, quiesce_gen, self.poll_interval - since);
-            }
-        }
-        self.last_poll = Some(Instant::now());
-
-        let adopted = sh.adoptions.load(Ordering::Acquire);
         if let Some(t0) = self.pending_since {
-            if adopted == self.started {
+            if sh.adoptions.load(Ordering::Acquire) == self.started {
                 self.tally.migration_secs += t0.elapsed().as_secs_f64();
                 self.pending_since = None;
             }
         }
+        // SeqCst pairs with the reducers' zero-crossing wake (see
+        // `ReducerTask::sub_in_flight`).
         if self.pending_since.is_none()
-            && sh.mappers_done.load(Ordering::Acquire)
-            && sh.in_flight.load(Ordering::Acquire) == 0
+            && sh.mappers_done.load(Ordering::SeqCst)
+            && sh.in_flight.load(Ordering::SeqCst) == 0
         {
             broadcast(sh.queues, || Delivery::Finish);
             return CoordinatorStep::Done(self.tally);
         }
-        if self.pending_since.is_none()
-            && self.started < sh.adaptive.max_migrations as u64
-            && sh.r1_remaining.load(Ordering::Acquire) == 0
-        {
+        if self.started >= self.budget {
+            // No migration can start: only a quiescence event (or the
+            // pending adoption) can change anything.
+            return self.park(cx, quiesce_gen, None);
+        }
+        if let Some(last) = self.last_poll {
+            let since = last.elapsed();
+            if since < self.poll_interval {
+                return self.park(cx, quiesce_gen, Some(self.poll_interval - since));
+            }
+        }
+        self.last_poll = Some(Instant::now());
+        if self.pending_since.is_none() && sh.r1_remaining.load(Ordering::Acquire) == 0 {
             match try_migrate(sh, &mut self.migrated, self.starved_polls) {
                 Decision::Migrated => {
                     self.started += 1;
@@ -210,17 +220,19 @@ impl<'a> CoordinatorTask<'a> {
                 Decision::Balanced => self.starved_polls = 0,
             }
         }
-        self.park_until(cx, quiesce_gen, self.poll_interval)
+        self.park(cx, quiesce_gen, Some(self.poll_interval))
     }
 
-    /// Parks until the next cadence tick or a quiescence event, whichever
-    /// comes first. A stale timer firing after a quiescence wake costs one
-    /// spurious re-poll, never a hang.
-    fn park_until(&self, cx: &TaskCx<'_>, quiesce_gen: u64, wait: Duration) -> CoordinatorStep {
+    /// Parks until a quiescence event or, with a `tick`, the next cadence
+    /// tick, whichever comes first. A stale timer firing after a quiescence
+    /// wake costs one spurious re-poll, never a hang.
+    fn park(&self, cx: &TaskCx<'_>, quiesce_gen: u64, tick: Option<Duration>) -> CoordinatorStep {
         if !self.sh.quiesce.register(cx.waker(), quiesce_gen) {
             return CoordinatorStep::Busy;
         }
-        cx.sleep(wait);
+        if let Some(tick) = tick {
+            cx.sleep(tick);
+        }
         CoordinatorStep::Idle
     }
 }

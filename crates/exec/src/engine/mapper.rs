@@ -16,10 +16,10 @@
 //! an exchange-fed probe side a routed-batch counter is checked against the
 //! (closed) exchange's push count. Because every mapper finishes pushing a
 //! unit's fragments *before* publishing its completion, FIFO queue order
-//! guarantees a reducer never sees relation data after that relation's
-//! seal. Once the scan plan drains, mappers keep pulling intermediate
-//! batches from the upstream exchange until it closes — this is how a
-//! downstream operator's shuffle overlaps the upstream operator's probe.
+//! guarantees a reducer never sees `R1` data after `SealR1`. Once the scan
+//! plan drains, mappers keep pulling intermediate batches from the
+//! upstream exchange until it closes — this is how a downstream operator's
+//! shuffle overlaps the upstream operator's probe.
 //!
 //! ## Cooperative scheduling
 //!
@@ -45,7 +45,7 @@
 //! Every park also registers with the query's [`CancelToken`]: a parked
 //! task is never re-polled, so cancellation must *wake* it to be observed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -62,14 +62,17 @@ use super::queue::{Delivery, RegionBatch};
 use super::runtime::{CancelToken, Poll, TaskCx, WakeSet, Waker};
 
 /// The engine's distributed end-of-input detector, shared by every mapper
-/// (and consulted once by the orchestrator for pre-sealing empty inputs).
+/// (and consulted by the orchestrator for pre-sealing empty inputs and for
+/// telling a finished run from a cancelled one).
 ///
 /// * `SealR1` fires when the last `R1` scan morsel is routed (`R1` is
 ///   always a scan; streamed build sides would need bushy plans).
-/// * `SealAll` fires when every scan morsel is routed **and** the probe
-///   exchange — if the probe side streams — is closed and fully routed.
-///   The upstream operator closes its output exchange at quiescence, so
-///   *upstream quiescence is what drives the downstream seal*.
+/// * [`all_routed`](Self::all_routed) holds once every scan morsel is
+///   routed **and** the probe exchange — if the probe side streams — is
+///   closed and fully routed. The upstream operator closes its output
+///   exchange at quiescence, so *upstream quiescence is what ends the
+///   downstream input*; the coordinator's `Finish` then follows at the
+///   downstream operator's own quiescence.
 pub struct SealState<'a> {
     /// Unrouted `R1` scan morsels; zero enables migrations and `SealR1`.
     pub r1_remaining: AtomicUsize,
@@ -84,8 +87,6 @@ pub struct SealState<'a> {
     /// Waiters parked on the `R2` gate (the `R1` countdown); woken by the
     /// mapper whose decrement takes `r1_remaining` to zero.
     pub r1_wake: WakeSet,
-    /// Dedupes the `SealAll` broadcast.
-    sealed_all: AtomicBool,
 }
 
 impl<'a> SealState<'a> {
@@ -97,31 +98,18 @@ impl<'a> SealState<'a> {
             exchange_claims: AtomicU64::new(0),
             routed_batches: AtomicU64::new(0),
             r1_wake: WakeSet::new(),
-            sealed_all: AtomicBool::new(false),
         }
     }
 
-    /// Did `SealAll` fire? A completed run must have sealed; a cancelled
-    /// run never seals (the orchestrator's broken-pipeline test).
-    pub fn sealed_all(&self) -> bool {
-        self.sealed_all.load(Ordering::Acquire)
-    }
-
-    /// Broadcasts `SealAll` once the whole input — scan morsels and, if the
-    /// probe streams, the closed exchange — has been routed. Safe to call
-    /// from any task at any time; deduplicated internally.
-    pub fn maybe_seal_all(&self, queues: &[Arc<dyn FragmentPort>]) {
-        if self.scan_remaining.load(Ordering::Acquire) != 0 {
-            return;
-        }
-        if let Some(ex) = self.exchange {
-            if !ex.drained(self.routed_batches.load(Ordering::Acquire)) {
-                return;
-            }
-        }
-        if !self.sealed_all.swap(true, Ordering::AcqRel) {
-            broadcast(queues, || Delivery::SealAll);
-        }
+    /// Has the whole input — scan morsels and, if the probe streams, the
+    /// closed exchange — been routed? Monotone, so the orchestrator asks
+    /// once after the mappers exit: a completed run has routed everything,
+    /// a cancelled one has not (the broken-pipeline test).
+    pub fn all_routed(&self) -> bool {
+        self.scan_remaining.load(Ordering::Acquire) == 0
+            && self
+                .exchange
+                .is_none_or(|ex| ex.drained(self.routed_batches.load(Ordering::Acquire)))
     }
 }
 
@@ -304,13 +292,8 @@ impl<'a> MapperTask<'a> {
                 });
                 Poll::Yielded
             }
-            Pop::Closed => {
-                // Closed and empty. Re-check the seal: the mapper that
-                // routed the final batch may have observed the exchange
-                // still open.
-                sh.seal.maybe_seal_all(sh.queues);
-                Poll::Ready
-            }
+            // Closed and empty: the stream is fully claimed.
+            Pop::Closed => Poll::Ready,
             Pop::Empty => {
                 // Consumer waker is registered with the exchange; a raced
                 // cancel re-polls instead of parking.
@@ -415,10 +398,7 @@ impl<'a> MapperTask<'a> {
         match unit.source {
             UnitSource::Scan { rel, .. } => {
                 // AcqRel: the last decrement must observe every other
-                // mapper's queue pushes as already completed. The R1 seal is
-                // broadcast *before* this morsel's `scan_remaining`
-                // decrement, so in every queue's FIFO order SealR1 precedes
-                // SealAll.
+                // mapper's queue pushes as already completed.
                 if rel == Rel::R1 && sh.seal.r1_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                     broadcast(sh.queues, || Delivery::SealR1);
                     // The R2 gate just opened: wake every mapper parked on
@@ -426,9 +406,7 @@ impl<'a> MapperTask<'a> {
                     // registration racing this decrement).
                     sh.seal.r1_wake.wake_all();
                 }
-                if sh.seal.scan_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    sh.seal.maybe_seal_all(sh.queues);
-                }
+                sh.seal.scan_remaining.fetch_sub(1, Ordering::AcqRel);
             }
             UnitSource::Batch { tuples } => {
                 // The batch leaves the exchange buffer only now — its
@@ -437,7 +415,6 @@ impl<'a> MapperTask<'a> {
                 sh.gauge.sub(tuples.len() as u64);
                 self.scatter.recycle(tuples);
                 sh.seal.routed_batches.fetch_add(1, Ordering::AcqRel);
-                sh.seal.maybe_seal_all(sh.queues);
             }
         }
     }

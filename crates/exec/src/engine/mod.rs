@@ -19,13 +19,15 @@
 //!   finishing mapper broadcasts a seal; reducers merge their sorted runs
 //!   and from then on sweep `R2` probe chunks immediately, freeing each
 //!   chunk after its sweep. The full probe side is never resident.
-//! * A **migration coordinator** (`coordinator` module) watches reducer
-//!   heartbeats on the shared [`ProgressBoard`] after the `R1` seal and
-//!   reassigns regions from backlogged reducers to idle ones at run time —
-//!   the paper's §V adaptive skew handling made real inside the engine. Its
-//!   behavior is driven by the same [`AdaptiveConfig`] as the discrete-event
-//!   simulation in [`crate::simulate_adaptive`], so predicted and realized
-//!   reassignment counts can be compared.
+//! * A **coordinator** (`coordinator` module) ends every run: it broadcasts
+//!   `Finish` once the mappers are done and nothing is in flight. When
+//!   migration is possible it also watches reducer heartbeats on the shared
+//!   [`ProgressBoard`] after the `R1` seal and reassigns regions from
+//!   backlogged reducers to idle ones at run time — the paper's §V adaptive
+//!   skew handling made real inside the engine. Its behavior is driven by
+//!   the same [`AdaptiveConfig`] as the discrete-event simulation in
+//!   [`crate::simulate_adaptive`], so predicted and realized reassignment
+//!   counts can be compared.
 //!
 //! Peak resident memory is tracked by a cluster-wide [`MemGauge`]; a
 //! completed run reports it alongside per-reducer busy/idle time,
@@ -39,7 +41,7 @@
 //! mappers drain the scan plan first (the build relation) and then pull
 //! intermediate batches as the upstream produces them; the upstream
 //! operator's quiescence — it closes the exchange after its own `Finish` —
-//! is what drives the downstream `SealAll`. A [`StageSink`] on the
+//! is what ends the downstream input. A [`StageSink`] on the
 //! producing side ships every swept chunk downstream and feeds the
 //! [`OnlineStats`] reservoir, so the next operator's partitioning scheme is
 //! built from statistics collected *during* the upstream probe, never from
@@ -120,8 +122,9 @@ pub struct EngineConfig {
     pub seed: u64,
     pub work: OutputWork,
     /// Run-time migration knobs (shared with the adaptive simulation).
-    /// `adaptive.reassign` selects the coordinated protocol; with it off the
-    /// engine runs the legacy fixed-placement seal protocol.
+    /// `adaptive.reassign: false` gives the coordinator a migration budget
+    /// of zero: the run ends the same way, on its `Finish`, but the initial
+    /// placement never changes.
     pub adaptive: AdaptiveConfig,
     /// Optional injected straggler (see [`Straggler`]).
     pub straggler: Option<Straggler>,
@@ -378,18 +381,12 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     // Wakes the parked coordinator on the events its termination check
     // watches; also bumped by the orchestrator after the stores below.
     let quiesce = WakeSet::new();
-    // The coordinated protocol (heartbeats + run-time migration + Finish
-    // termination) is selected by the adaptive config; with reassignment
-    // off the engine runs the legacy SealAll-terminated protocol untouched.
-    let coordinated = cfg.adaptive.reassign;
 
     // An empty relation — or a portion fully claimed before this run —
-    // never triggers a mapper-side seal; pre-seal here. (SealAll further
-    // requires a drained exchange when the probe side streams.)
+    // never triggers a mapper-side seal; pre-seal here.
     if r1_left == 0 {
         broadcast(&queues, || Delivery::SealR1);
     }
-    seal.maybe_seal_all(&queues);
 
     let mapper_shared = MapperShared {
         plan,
@@ -418,7 +415,6 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
         in_flight: &in_flight,
         adoptions: &adoptions,
         migration_tuples: &migration_tuples,
-        coordinated,
         straggler: cfg.straggler,
         sink: io.sink,
         key_from: io.key_from,
@@ -507,35 +503,34 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
             });
         }
         let coordinator_group = s.group();
-        if coordinated {
-            let mut task = CoordinatorTask::new(&coordinator_shared);
-            let slot = &tally_slot;
-            s.spawn_in(&coordinator_group, move |cx| match task.poll(cx) {
-                CoordinatorStep::Idle => Poll::Pending,
-                CoordinatorStep::Busy => Poll::Yielded,
-                CoordinatorStep::Done(tally) => {
-                    *slot.lock().expect("tally slot poisoned") = Some(tally);
-                    Poll::Ready
-                }
-            });
-        }
+        let mut coordinator = CoordinatorTask::new(&coordinator_shared);
+        let slot = &tally_slot;
+        s.spawn_in(&coordinator_group, move |cx| match coordinator.poll(cx) {
+            CoordinatorStep::Idle => Poll::Pending,
+            CoordinatorStep::Busy => Poll::Yielded,
+            CoordinatorStep::Done(tally) => {
+                *slot.lock().expect("tally slot poisoned") = Some(tally);
+                Poll::Ready
+            }
+        });
         let mapper_group = s.group();
         for _ in 0..cfg.mappers.max(1) {
             let mut task = MapperTask::new(&mapper_shared);
             s.spawn_in(&mapper_group, move |cx| task.poll(cx));
         }
         mapper_group.wait();
-        // If the mappers finished without sealing (cancellation), the seal
-        // chain is broken: stop the coordinator and abort the reducers
-        // explicitly. Control messages bypass queue bounds, so this cannot
-        // deadlock. Otherwise hand termination to the coordinator (Finish
-        // at quiescence) or, uncoordinated, to the SealAll chain. Either
-        // way, wake the parked coordinator to observe the store.
-        let broken = !seal.sealed_all();
+        // If the mappers finished without routing the whole input
+        // (cancellation), the pipeline is broken: stop the coordinator and
+        // abort the reducers explicitly. Control messages bypass queue
+        // bounds, so this cannot deadlock. Otherwise hand termination to
+        // the coordinator (Finish at quiescence). Either way, wake the
+        // parked coordinator to observe the store (SeqCst: see
+        // `ReducerTask::sub_in_flight`).
+        let broken = !seal.all_routed();
         if broken {
             abort.store(true, Ordering::Release);
         } else {
-            mappers_done.store(true, Ordering::Release);
+            mappers_done.store(true, Ordering::SeqCst);
         }
         quiesce.wake_all();
         coordinator_group.wait();
@@ -1178,7 +1173,10 @@ mod tests {
     }
 
     #[test]
-    fn migration_disabled_runs_the_legacy_protocol() {
+    fn migration_disabled_never_migrates_a_straggler() {
+        // The coordinator runs (and ends the run) with reassignment off
+        // too; it must never move a region, not even off a hard straggler
+        // under thresholds that would migrate with reassignment on.
         let k: Vec<Key> = (0..1500).map(|i| (i % 90) as Key).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
         let cond = JoinCondition::Equi;
@@ -1197,9 +1195,14 @@ mod tests {
             work: OutputWork::Touch,
             adaptive: AdaptiveConfig {
                 reassign: false,
+                migrate_backlog_tuples: 1,
+                poll_micros: 50,
                 ..Default::default()
             },
-            straggler: None,
+            straggler: Some(Straggler {
+                reducer: 0,
+                nanos_per_tuple: 20_000,
+            }),
             transport: None,
         };
         let out = run_pipelined(

@@ -9,7 +9,7 @@
 //!   shared-memory bound (see [`super::transport`]).
 //!
 //! Both admit by the one [`admits`](super::channel::admits) rule, and a
-//! delivery port's lifecycle is in-band (`SealAll` / `Finish` / `Abort`),
+//! delivery port's lifecycle is in-band (`Finish` / `Abort`),
 //! so its pop never reports an end of stream: `None` only means "empty
 //! for now". A bounced push hands the item back untouched, and a failed
 //! try with a waker registered it *under the same lock* as the attempt,

@@ -26,12 +26,6 @@ pub enum Delivery {
     /// mapper that routes the last `R1` morsel). Regions may merge their
     /// sorted `R1` runs and start sweeping probe chunks.
     SealR1,
-    /// Every tuple of both relations has been enqueued; flush buffered probe
-    /// chunks. Under the legacy (uncoordinated) protocol this also
-    /// terminates the reducer; under the migration coordinator the reducer
-    /// keeps draining until [`Delivery::Finish`], because migrated state and
-    /// fenced-off fragments may still arrive.
-    SealAll,
     /// Coordinator → current region owner: pack the region's state and ship
     /// it to the routing table's (already updated) new owner.
     Migrate { region: u32 },
@@ -139,7 +133,7 @@ mod tests {
                         tuples: ColumnBatch::new(),
                     }));
                 }
-                q.push(Delivery::SealAll);
+                q.push(Delivery::Finish);
             })
         };
         let mut next = 0u32;
@@ -149,7 +143,7 @@ mod tests {
                     assert_eq!(b.region, next, "FIFO violated");
                     next += 1;
                 }
-                Delivery::SealAll => break,
+                Delivery::Finish => break,
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -170,10 +164,10 @@ mod tests {
             epoch: 0,
             tuples: ColumnBatch::new(),
         }));
-        // A second data push would block; a seal must not.
-        q.push(Delivery::SealAll);
+        // A second data push would block; a control message must not.
+        q.push(Delivery::Finish);
         assert!(matches!(q.pop(), Some(Delivery::Batch(_))));
-        assert!(matches!(q.pop(), Some(Delivery::SealAll)));
+        assert!(matches!(q.pop(), Some(Delivery::Finish)));
     }
 
     #[test]

@@ -50,9 +50,10 @@
 //!   parking is only ever a short race with the coordinator's epoch bump.
 //!
 //! Every absorbed tuple decrements the engine-wide in-flight counter; the
-//! coordinator broadcasts [`Delivery::Finish`] only at quiescence, which is
-//! what lets reducers keep draining after `SealAll` without ever dropping a
-//! late fragment.
+//! coordinator broadcasts [`Delivery::Finish`] only at quiescence — mappers
+//! done, nothing in flight, no handshake pending — so a reducer that
+//! finishes can never drop a late fragment. `Finish` and `Abort` are the
+//! only ways a reducer ends, migration or not.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -159,10 +160,6 @@ pub struct ReducerShared<'a> {
     pub adoptions: &'a AtomicU64,
     /// Tuples shipped between reducers by migrations.
     pub migration_tuples: &'a AtomicU64,
-    /// Coordinated termination: keep draining past `SealAll` until the
-    /// coordinator's `Finish`. When false (legacy protocol, migration off),
-    /// `SealAll` terminates the reducer directly.
-    pub coordinated: bool,
     /// Fault-injection: slow down one reducer's absorption path.
     pub straggler: Option<Straggler>,
     /// Chained plans: ship each swept chunk's output downstream (and feed
@@ -276,16 +273,9 @@ impl<'a> ReducerTask<'a> {
             match delivery {
                 Delivery::Batch(batch) => self.on_batch(batch, pool),
                 Delivery::SealR1 => self.on_seal_r1(pool),
-                Delivery::SealAll if !self.sh.coordinated => {
-                    self.finished = Some(self.finish(pool));
-                }
-                Delivery::SealAll => self.on_seal_all(pool),
                 Delivery::Migrate { region } => self.on_migrate(region),
                 Delivery::Adopt { region, state } => self.on_adopt(region, *state, pool),
-                Delivery::Finish => {
-                    debug_assert!(self.sh.coordinated, "Finish without a coordinator");
-                    self.finished = Some(self.finish(pool));
-                }
+                Delivery::Finish => self.finished = Some(self.finish(pool)),
                 Delivery::Abort => {
                     self.discard();
                     self.busy_secs += start.elapsed().as_secs_f64();
@@ -463,10 +453,13 @@ impl<'a> ReducerTask<'a> {
 
     /// Decrements the routed-but-unabsorbed counter, waking the quiescence
     /// watchers on the final crossing to zero once the mappers are done —
-    /// the event the coordinator's termination check waits on.
+    /// the event the coordinator's termination check waits on. SeqCst,
+    /// like the orchestrator's store and the coordinator's loads: a
+    /// coordinator that saw `mappers_done` and a non-zero count must be
+    /// woken by the decrement that zeroes it — it arms no timer otherwise.
     fn sub_in_flight(sh: &ReducerShared<'_>, n: u64) {
-        if sh.in_flight.fetch_sub(n, Ordering::AcqRel) == n
-            && sh.mappers_done.load(Ordering::Acquire)
+        if sh.in_flight.fetch_sub(n, Ordering::SeqCst) == n
+            && sh.mappers_done.load(Ordering::SeqCst)
         {
             sh.quiesce.wake_all();
         }
@@ -487,21 +480,6 @@ impl<'a> ReducerTask<'a> {
             st.sealed = true;
             sh.board.note_region_sealed(me);
             if st.pending.len() >= sh.probe_chunk {
-                Self::flush(st, sh, me, region as u32, &mut self.outbox, pool);
-            }
-        }
-    }
-
-    /// `SealAll` under the coordinated protocol: every mapper-routed tuple
-    /// is enqueued somewhere, but migrated state and fenced fragments may
-    /// still arrive — eagerly sweep what is buffered (freeing the memory
-    /// early) and keep draining until `Finish`.
-    fn on_seal_all(&mut self, pool: &BatchPool) {
-        let sh = self.sh;
-        let me = self.me;
-        for (region, slot) in self.states.iter_mut().enumerate() {
-            let Some(st) = slot.as_mut() else { continue };
-            if st.sealed && !(st.pending.is_empty() && st.spilled_pending.is_empty()) {
                 Self::flush(st, sh, me, region as u32, &mut self.outbox, pool);
             }
         }

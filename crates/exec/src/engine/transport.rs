@@ -53,7 +53,6 @@ use super::spill::SpillRun;
 // The transport's tag space within the frame codec's opaque `kind` byte.
 const FRAME_BATCH: u8 = 1;
 const FRAME_SEAL_R1: u8 = 2;
-const FRAME_SEAL_ALL: u8 = 3;
 const FRAME_MIGRATE: u8 = 4;
 const FRAME_ADOPT: u8 = 5;
 const FRAME_FINISH: u8 = 6;
@@ -583,7 +582,6 @@ pub(crate) fn encode_delivery(out: &mut Vec<u8>, d: &Delivery) {
             &rb.tuples,
         ),
         Delivery::SealR1 => encode_frame(out, FRAME_SEAL_R1, 0, 0, &[], &empty),
-        Delivery::SealAll => encode_frame(out, FRAME_SEAL_ALL, 0, 0, &[], &empty),
         Delivery::Migrate { region } => {
             encode_frame(out, FRAME_MIGRATE, *region as u64, 0, &[], &empty)
         }
@@ -620,7 +618,6 @@ pub(crate) fn decode_delivery(frame: Frame) -> Result<Delivery, String> {
             tuples: frame.batch,
         })),
         FRAME_SEAL_R1 => Ok(Delivery::SealR1),
-        FRAME_SEAL_ALL => Ok(Delivery::SealAll),
         FRAME_MIGRATE => Ok(Delivery::Migrate {
             region: frame.a as u32,
         }),
@@ -1328,7 +1325,6 @@ mod tests {
     fn every_control_delivery_survives_the_wire() {
         let deliveries = [
             Delivery::SealR1,
-            Delivery::SealAll,
             Delivery::Migrate { region: 7 },
             Delivery::Finish,
             Delivery::Abort,
@@ -1343,12 +1339,11 @@ mod tests {
         while let Some(f) = dec.next_frame().expect("valid") {
             got.push(decode_delivery(f).expect("decodes"));
         }
-        assert_eq!(got.len(), 5);
+        assert_eq!(got.len(), 4);
         assert!(matches!(got[0], Delivery::SealR1));
-        assert!(matches!(got[1], Delivery::SealAll));
-        assert!(matches!(got[2], Delivery::Migrate { region: 7 }));
-        assert!(matches!(got[3], Delivery::Finish));
-        assert!(matches!(got[4], Delivery::Abort));
+        assert!(matches!(got[1], Delivery::Migrate { region: 7 }));
+        assert!(matches!(got[2], Delivery::Finish));
+        assert!(matches!(got[3], Delivery::Abort));
     }
 
     #[test]
@@ -1420,7 +1415,7 @@ mod tests {
         for region in 0..32u32 {
             assert!(port.try_push(batch_delivery(region, 100), None).is_ok());
         }
-        port.push_unbounded(Delivery::SealAll);
+        port.push_unbounded(Delivery::Finish);
         for region in 0..32u32 {
             let d = drain_until(Duration::from_secs(10), || port.try_pop(None));
             let Delivery::Batch(rb) = d else {
@@ -1432,7 +1427,7 @@ mod tests {
             assert_eq!(rb.tuples.payloads(), cols(100).payloads());
         }
         let d = drain_until(Duration::from_secs(10), || port.try_pop(None));
-        assert!(matches!(d, Delivery::SealAll));
+        assert!(matches!(d, Delivery::Finish));
         // Credits drain the window back to zero.
         drain_until(Duration::from_secs(10), || {
             (port.used_tuples() == 0).then_some(())

@@ -24,7 +24,7 @@
 //! downstream operator's mappers, the downstream partitioning scheme is
 //! built from online reservoir statistics collected during the upstream
 //! probe ([`engine::OnlineStats`]), and an upstream operator's quiescence
-//! drives the downstream seal — intermediates are never fully resident.
+//! ends the downstream input — intermediates are never fully resident.
 //! [`run_plan_materialized`] keeps the classic materialize-between-
 //! operators execution as the oracle and comparison baseline.
 //!
@@ -71,8 +71,8 @@ pub use local_join::{
 pub use metrics::JoinStats;
 pub use operator::{
     assign_regions, build_scheme, build_scheme_from_keys, execute_join, execute_join_pipelined,
-    lpt_schedule, run_operator, run_operator_adaptive, stats_from_outcome, ExecMode,
-    FallbackPolicy, OperatorConfig, OperatorRun,
+    lpt_schedule, run_operator, run_operator_adaptive, ExecMode, FallbackPolicy, OperatorConfig,
+    OperatorRun,
 };
 pub use plan::{run_plan, run_plan_materialized, ChainStage, PlanRun, PlanStageRun, StageSpec};
 pub use shuffle::{shuffle, Shuffled};

@@ -21,9 +21,9 @@ mod run;
 mod stats;
 
 pub use config::{ExecMode, FallbackPolicy, OperatorConfig};
+pub(crate) use run::{admit, execute_join_with, run_pipelined_stage};
 pub use run::{
     assign_regions, execute_join, execute_join_pipelined, lpt_schedule, run_operator,
-    run_operator_adaptive, stats_from_outcome, OperatorRun,
+    run_operator_adaptive, OperatorRun,
 };
-pub(crate) use run::{engine_setup, execute_join_with};
 pub use stats::{build_scheme, build_scheme_from_keys, extract_keys};

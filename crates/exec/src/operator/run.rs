@@ -10,7 +10,7 @@ use ewh_core::{
 
 use crate::engine::{
     run_pipelined_io, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, MemGauge, MorselPlan,
-    Source, SpillContext,
+    QueryTicket, Source, SpillContext, StageSink,
 };
 use crate::local_join::KeyFrom;
 use crate::{local_join, shuffle, JoinStats, Shuffled};
@@ -209,9 +209,8 @@ pub fn execute_join(
 /// Folds a completed engine run into the operator's [`JoinStats`]
 /// accounting: per-region tallies aggregate to per-worker loads over
 /// `region_to_worker`, volumes convert to bytes, and the simulated join
-/// time is recomputed from the realized weights. Shared by the one-shot
-/// pipelined driver and the chained plan executor.
-pub fn stats_from_outcome(
+/// time is recomputed from the realized weights.
+pub(crate) fn stats_from_outcome(
     out: &EngineOutcome,
     region_to_worker: &[u32],
     cfg: &OperatorConfig,
@@ -262,18 +261,13 @@ pub fn stats_from_outcome(
 }
 
 /// Derives one pipelined stage's engine configuration and initial
-/// region → reducer routing table from the operator config — shared by the
-/// one-shot pipelined driver and every stage of a chained plan, so a
-/// placement or seed-derivation change can never make the two diverge.
+/// region → reducer routing table from the operator config.
 ///
 /// Initial reducer-task placement is LPT by estimated region weight, so a
 /// hot region gets a task to itself instead of queueing behind siblings;
 /// it is published through the epoch-versioned routing table, which the
 /// migration coordinator may rewrite at run time.
-pub(crate) fn engine_setup(
-    scheme: &PartitionScheme,
-    cfg: &OperatorConfig,
-) -> (EngineConfig, RoutingTable) {
+fn engine_setup(scheme: &PartitionScheme, cfg: &OperatorConfig) -> (EngineConfig, RoutingTable) {
     let n_regions = scheme.num_regions();
     let mut engine_cfg = EngineConfig::for_tasks(cfg.threads, cfg.morsel_tuples, cfg.seed ^ 0x5F);
     engine_cfg.queue_tuples = cfg.queue_tuples;
@@ -291,16 +285,120 @@ pub(crate) fn engine_setup(
     (engine_cfg, table)
 }
 
+/// One admitted pipelined query: its runtime ticket, the spill budget that
+/// binds — an explicit operator override, else the slice admission carved
+/// from the runtime's global budget — and, under a budget, the spill
+/// context. The context's files live in the ticket's scoped temp dir,
+/// removed wholesale when the ticket drops (success, cancel and panic
+/// paths alike). Fields drop in declaration order: context before ticket.
+pub(crate) struct Admitted<'rt> {
+    pub spill: Option<SpillContext>,
+    pub budget_tuples: Option<u64>,
+    pub ticket: QueryTicket<'rt>,
+}
+
+/// Admits one query (a one-shot operator or a whole plan) on `rt`,
+/// requesting the configured memory capacity as its budget slice. Blocks
+/// the calling client thread while the admission queue is full.
+pub(crate) fn admit<'rt>(rt: &'rt EngineRuntime, cfg: &OperatorConfig) -> Admitted<'rt> {
+    let ticket = rt.admit(cfg.mem_capacity_bytes.map(|b| (b / TUPLE_BYTES).max(1)));
+    let budget_tuples = cfg.spill.budget_tuples.or(ticket.budget_tuples());
+    let spill = budget_tuples.map(|_| {
+        SpillContext::new(
+            ticket
+                .spill_dir(cfg.spill.temp_dir.as_deref())
+                .to_path_buf(),
+            cfg.spill.fail_after_bytes,
+        )
+    });
+    Admitted {
+        spill,
+        budget_tuples,
+        ticket,
+    }
+}
+
+/// The pipelined stage driver behind [`execute_join_pipelined`] (whose
+/// docs cover the shared parameters) and every stage of a chained plan:
+/// derives the engine config and routing table, runs the engine,
+/// re-raises an I/O failure as a panic on the calling thread, and folds
+/// the outcome into [`JoinStats`]. `sink` streams the probe output
+/// downstream, keyed per `key_from`.
+#[allow(clippy::too_many_arguments)] // an execution plan, not a builder
+pub(crate) fn run_pipelined_stage(
+    rt: &EngineRuntime,
+    r1: Source<'_>,
+    r2: Source<'_>,
+    scheme: &PartitionScheme,
+    cond: &JoinCondition,
+    region_to_worker: &[u32],
+    plan: &MorselPlan,
+    cfg: &OperatorConfig,
+    gauge: Option<&MemGauge>,
+    budget_tuples: Option<u64>,
+    spill: Option<&SpillContext>,
+    sink: Option<StageSink<'_>>,
+    key_from: KeyFrom,
+) -> JoinStats {
+    let (engine_cfg, table) = engine_setup(scheme, cfg);
+    if let Some(links) = &cfg.links {
+        assert!(
+            links.len() >= engine_cfg.reducers,
+            "links must cover every reducer task: {} < {}",
+            links.len(),
+            engine_cfg.reducers
+        );
+    }
+    let out = run_pipelined_io(
+        rt,
+        EngineIo {
+            r1,
+            r2,
+            router: &scheme.router,
+            cond,
+            table: &table,
+            plan,
+            sink,
+            key_from,
+            gauge,
+            cancel: None,
+            budget_tuples,
+            spill,
+            links: cfg.links.as_deref(),
+        },
+        &engine_cfg,
+    );
+    // A spill I/O failure tore the query down cooperatively (every pool
+    // task unwound through the normal abort protocol); re-raise it on the
+    // driving thread, where a caller can catch it at the query or plan
+    // join.
+    if let Some(ctx) = spill {
+        if let Some(msg) = ctx.take_failure() {
+            panic!("query cancelled by spill failure: {msg}");
+        }
+    }
+    // A transport link failure (corrupt frame, dead socket) tears the run
+    // down cooperatively the same way; re-raise it here so callers see one
+    // surface for both I/O failure classes.
+    if out.cancelled && cfg.transport.is_some() {
+        panic!("query cancelled by transport failure");
+    }
+    debug_assert!(!out.cancelled, "operator-level runs are never cancelled");
+    stats_from_outcome(&out, region_to_worker, cfg)
+}
+
 /// Executes the join on the morsel-driven pipelined engine — as task
-/// batches on the shared `rt` pool, never on threads of its own. Mirrors
-/// [`execute_join`]'s accounting while never materializing the full shuffle:
-/// `mem_bytes` still reports the modeled full-materialization footprint for
-/// comparability, while `peak_resident_bytes` reports what the engine
-/// actually held at its high-water mark. `gauge` is the query's memory
-/// gauge (an admitted query passes its ticket's; `None` uses a private
-/// one). With `budget_tuples` and a `spill` context, reducers shed state
-/// to disk whenever the gauge exceeds the budget; a spill I/O failure
-/// cancels the run cooperatively and resurfaces here as a panic.
+/// batches on the shared `rt` pool, never on threads of its own, through
+/// the same stage driver as every chained-plan stage. Mirrors
+/// [`execute_join`]'s accounting while never materializing the full
+/// shuffle: `mem_bytes` still reports the modeled full-materialization
+/// footprint for comparability, while `peak_resident_bytes` reports what
+/// the engine actually held at its high-water mark. `gauge` is the query's
+/// memory gauge (an admitted query passes its ticket's; `None` uses a
+/// private one). With `budget_tuples` and a `spill` context, reducers shed
+/// state to disk whenever the gauge exceeds the budget. A spill or
+/// transport failure cancels the run cooperatively and resurfaces here as
+/// a panic.
 #[allow(clippy::too_many_arguments)] // an execution plan, not a builder
 pub fn execute_join_pipelined(
     rt: &EngineRuntime,
@@ -315,55 +413,24 @@ pub fn execute_join_pipelined(
     budget_tuples: Option<u64>,
     spill: Option<&SpillContext>,
 ) -> JoinStats {
-    debug_assert_eq!(region_to_worker.len(), scheme.num_regions());
-    let (engine_cfg, table) = engine_setup(scheme, cfg);
-    if let Some(links) = &cfg.links {
-        assert!(
-            links.len() >= engine_cfg.reducers,
-            "links must cover every reducer task: {} < {}",
-            links.len(),
-            engine_cfg.reducers
-        );
-    }
-
     // One transpose per side; the engine routes, sorts, and sweeps columns.
     let r1 = ColumnBatch::from_tuples(r1);
     let r2 = ColumnBatch::from_tuples(r2);
-    let out = run_pipelined_io(
+    run_pipelined_stage(
         rt,
-        EngineIo {
-            r1: Source::Scan(&r1),
-            r2: Source::Scan(&r2),
-            router: &scheme.router,
-            cond,
-            table: &table,
-            plan,
-            sink: None,
-            key_from: KeyFrom::Probe,
-            gauge,
-            cancel: None,
-            budget_tuples,
-            spill,
-            links: cfg.links.as_deref(),
-        },
-        &engine_cfg,
-    );
-    // A spill I/O failure tore the query down cooperatively (every pool
-    // task unwound through the normal abort protocol); re-raise it on the
-    // driving thread, where a caller can catch it at the plan join.
-    if let Some(ctx) = spill {
-        if let Some(msg) = ctx.take_failure() {
-            panic!("query cancelled by spill failure: {msg}");
-        }
-    }
-    // A transport link failure (corrupt frame, dead socket) tears the run
-    // down cooperatively the same way; re-raise it here so callers see one
-    // surface for both I/O failure classes.
-    if out.cancelled && cfg.transport.is_some() {
-        panic!("query cancelled by transport failure");
-    }
-    debug_assert!(!out.cancelled, "operator-level runs are never cancelled");
-    stats_from_outcome(&out, region_to_worker, cfg)
+        Source::Scan(&r1),
+        Source::Scan(&r2),
+        scheme,
+        cond,
+        region_to_worker,
+        plan,
+        cfg,
+        gauge,
+        budget_tuples,
+        spill,
+        None,
+        KeyFrom::Probe,
+    )
 }
 
 /// Runs the full operator with the given scheme kind, as one *admitted
@@ -413,24 +480,9 @@ fn run_with_scheme(
                     &fresh
                 }
             };
-            // Admission: one ticket per query, requesting the configured
-            // memory capacity as its budget slice (client-thread blocking;
-            // released when the ticket drops at the end of this arm).
-            let ticket = rt.admit(cfg.mem_capacity_bytes.map(|b| (b / TUPLE_BYTES).max(1)));
-            // Spill under whichever budget binds: an explicit operator
-            // override, else the slice admission carved from the runtime's
-            // global budget. The spill context lives in the ticket's scoped
-            // temp dir, removed wholesale when the ticket drops — success,
-            // cancel and panic paths alike.
-            let budget = cfg.spill.budget_tuples.or(ticket.budget_tuples());
-            let spill_ctx = budget.map(|_| {
-                SpillContext::new(
-                    ticket
-                        .spill_dir(cfg.spill.temp_dir.as_deref())
-                        .to_path_buf(),
-                    cfg.spill.fail_after_bytes,
-                )
-            });
+            // One ticket per query, released when `query` drops at the end
+            // of this arm.
+            let query = admit(rt, cfg);
             let mut stats = execute_join_pipelined(
                 rt,
                 r1,
@@ -440,11 +492,11 @@ fn run_with_scheme(
                 &map,
                 plan,
                 cfg,
-                Some(ticket.gauge()),
-                budget,
-                spill_ctx.as_ref(),
+                Some(query.ticket.gauge()),
+                query.budget_tuples,
+                query.spill.as_ref(),
             );
-            stats.admission_wait_secs = ticket.admission_wait_secs();
+            stats.admission_wait_secs = query.ticket.admission_wait_secs();
             stats
         }
     };

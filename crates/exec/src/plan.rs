@@ -31,8 +31,9 @@
 //!   intermediate.
 //! * Termination composes: when an upstream operator quiesces (its own
 //!   `Finish`), it closes its output exchange, which is precisely what
-//!   lets the downstream operator's `SealAll` fire — the cross-operator
-//!   extension of the engine's seal protocol.
+//!   ends the downstream operator's input; the downstream coordinator's
+//!   `Finish` follows at its own quiescence — the cross-operator extension
+//!   of the engine's termination protocol.
 //! * All stages share one [`MemGauge`], so
 //!   [`PlanRun::peak_resident_bytes`] is the *plan-global* high-water mark
 //!   of everything resident at once: routed fragments, sealed build
@@ -66,13 +67,13 @@ use std::time::Instant;
 use ewh_core::{ColumnBatch, JoinCondition, PartitionScheme, SchemeKind, Tuple, TUPLE_BYTES};
 
 use crate::engine::{
-    run_pipelined_io, AbandonOnDrop, CloseOnDrop, EngineIo, EngineRuntime, Exchange, MemGauge,
-    MorselPlan, OnlineStats, Source, SpillContext, StageSink,
+    AbandonOnDrop, CloseOnDrop, EngineRuntime, Exchange, MemGauge, MorselPlan, OnlineStats, Source,
+    SpillContext, StageSink,
 };
 use crate::local_join::{sweep_sorted_into, KeyFrom};
 use crate::operator::{
-    assign_regions, build_scheme, build_scheme_from_keys, engine_setup, execute_join_with,
-    extract_keys, stats_from_outcome, OperatorConfig,
+    admit, assign_regions, build_scheme, build_scheme_from_keys, execute_join_with, extract_keys,
+    run_pipelined_stage, OperatorConfig,
 };
 use crate::{execute_join, shuffle, JoinStats, Shuffled};
 
@@ -147,12 +148,13 @@ impl PlanRun {
     }
 }
 
-/// Runs one pipelined stage: placement, engine, accounting. `sink` is where
-/// this stage's probe output streams (None for the final stage); the sink
-/// is closed when the engine returns — or unwinds — which is what
-/// terminates the downstream operator. All of the stage's mapper / reducer
-/// / coordinator work runs as tasks on the shared `rt` pool; the thread
-/// calling this only orchestrates.
+/// Runs one pipelined stage of a plan through the shared stage driver
+/// ([`run_pipelined_stage`]). `sink` is where this stage's probe output
+/// streams (None for the final stage); the sink is closed when the engine
+/// returns — or unwinds — which is what terminates the downstream
+/// operator. All of the stage's mapper / reducer / coordinator work runs as
+/// tasks on the shared `rt` pool; the thread calling this only
+/// orchestrates.
 #[allow(clippy::too_many_arguments)]
 fn run_stage(
     rt: &EngineRuntime,
@@ -168,48 +170,33 @@ fn run_stage(
     cfg: &OperatorConfig,
 ) -> JoinStats {
     // Teardown guards, armed before anything can panic: close this stage's
-    // output (so the downstream consumer terminates) and abandon its input
-    // (so the upstream producer can never stay blocked in `push` against a
-    // consumer that unwound). Both are harmless after normal completion.
-    let close_guard = sink.map(CloseOnDrop);
+    // output on return or unwind (upstream quiescence: the downstream
+    // consumer terminates) and abandon its input (so the upstream producer
+    // can never stay blocked in `push` against a consumer that unwound).
+    // Both are harmless after normal completion.
+    let _close_guard = sink.map(CloseOnDrop);
     let _abandon_guard = AbandonOnDrop(r2.exchange());
-    let (engine_cfg, table) = engine_setup(scheme, cfg);
     let plan = MorselPlan::new(
         r1.scan_cols().len(),
         r2.scan_cols().len(),
         cfg.morsel_tuples,
     );
-    let out = run_pipelined_io(
-        rt,
-        EngineIo {
-            r1,
-            r2,
-            router: &scheme.router,
-            cond,
-            table: &table,
-            plan: &plan,
-            sink,
-            key_from,
-            gauge: Some(gauge),
-            cancel: None,
-            budget_tuples,
-            spill,
-            links: None,
-        },
-        &engine_cfg,
-    );
-    // A spill I/O failure cancelled this stage cooperatively; re-raise it
-    // here so the panic propagates through the stage driver to the plan
-    // join (the teardown guards above unwind the neighbors).
-    if let Some(ctx) = spill {
-        if let Some(msg) = ctx.take_failure() {
-            panic!("plan stage cancelled by spill failure: {msg}");
-        }
-    }
-    debug_assert!(!out.cancelled, "plan stages are never cancelled");
-    drop(close_guard); // close the downstream exchange: upstream quiescence
     let map = assign_regions(scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-    stats_from_outcome(&out, &map, cfg)
+    run_pipelined_stage(
+        rt,
+        r1,
+        r2,
+        scheme,
+        cond,
+        &map,
+        &plan,
+        cfg,
+        Some(gauge),
+        budget_tuples,
+        spill,
+        sink,
+        key_from,
+    )
 }
 
 /// Builds a chain stage's scheme from the frozen online sample. An empty
@@ -268,23 +255,13 @@ pub fn run_plan(
 ) -> PlanRun {
     let start = Instant::now();
     let n_chain = chain.len();
-    let ticket = rt.admit(cfg.mem_capacity_bytes.map(|b| (b / TUPLE_BYTES).max(1)));
-    let gauge = ticket.gauge();
-    // One spill budget and context for the whole plan: all stages charge
-    // the shared gauge, so the plan-global footprint is what the budget
-    // bounds and any stage may be picked as the spill victim. The context's
-    // files live in the ticket's scoped temp dir (removed when the ticket
-    // drops, panic paths included).
-    let budget = cfg.spill.budget_tuples.or(ticket.budget_tuples());
-    let spill_ctx = budget.map(|_| {
-        SpillContext::new(
-            ticket
-                .spill_dir(cfg.spill.temp_dir.as_deref())
-                .to_path_buf(),
-            cfg.spill.fail_after_bytes,
-        )
-    });
-    let spill = spill_ctx.as_ref();
+    // One ticket, spill budget and spill context for the whole plan: all
+    // stages charge the ticket's gauge, so the plan-global footprint is
+    // what the budget bounds and any stage may be picked as the spill
+    // victim.
+    let query = admit(rt, cfg);
+    let gauge = query.ticket.gauge();
+    let (budget, spill) = (query.budget_tuples, query.spill.as_ref());
     let exchanges: Vec<Exchange> = (0..n_chain)
         .map(|_| Exchange::new(cfg.exchange_tuples.max(2)))
         .collect();
@@ -404,9 +381,12 @@ pub fn run_plan(
                 )
             }));
         }
+        // Re-raise a stage's panic with its own payload, so the caller sees
+        // the stage's failure (spill, transport) rather than a bare join
+        // error.
         let joined: Vec<JoinStats> = handles
             .into_iter()
-            .map(|h| h.join().expect("plan stage panicked"))
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect();
         joined
     });
@@ -418,7 +398,7 @@ pub fn run_plan(
     }
     // The plan holds one ticket; charge its admission wait once, not per
     // stage.
-    total.admission_wait_secs = ticket.admission_wait_secs();
+    total.admission_wait_secs = query.ticket.admission_wait_secs();
     // Per-stage spill deltas overlap when stages run concurrently over the
     // shared context; override the merged sums with the context's absolute
     // totals, which count every byte exactly once.
@@ -731,6 +711,52 @@ mod tests {
         assert_eq!(pipe.output_total, one_shot.join.output_total);
         assert_eq!(pipe.checksum, one_shot.join.checksum);
         assert_eq!(pipe.stages.len(), 1);
+    }
+
+    #[test]
+    fn a_failing_transport_fails_the_plan_and_spares_the_runtime() {
+        let keys: Vec<Key> = (0..3000).map(|i| i % 150).collect();
+        let (a, b, c) = (tuples(&keys), tuples(&keys), tuples(&keys));
+        let cfg = OperatorConfig {
+            j: 8,
+            threads: 4,
+            morsel_tuples: 128,
+            queue_tuples: 256,
+            ..Default::default()
+        };
+        let poisoned = OperatorConfig {
+            transport: Some(crate::TransportConfig {
+                corrupt_frame: Some(0),
+                ..crate::TransportConfig::loopback()
+            }),
+            ..cfg.clone()
+        };
+        let first = StageSpec {
+            kind: SchemeKind::Csio,
+            cond: JoinCondition::Equi,
+        };
+        let chain = [ChainStage {
+            base: &c,
+            spec: first,
+        }];
+        let rt = test_rt();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_plan(&rt, &a, &b, &first, &chain, &poisoned)
+        }))
+        .expect_err("a corrupt frame must fail the plan, not return a short answer");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(msg.contains("transport"), "stage failure was lost: {msg:?}");
+
+        // The same runtime still runs a healthy plan to the exact answer.
+        let pipe = run_plan(&rt, &a, &b, &first, &chain, &cfg);
+        let mat = run_plan_materialized(&a, &b, &first, &chain, &cfg);
+        assert_eq!(pipe.output_total, 1_200_000);
+        assert_eq!(pipe.output_total, mat.output_total);
+        assert_eq!(pipe.checksum, mat.checksum);
     }
 
     #[test]
